@@ -167,6 +167,10 @@ def cmd_surface(args):
         "conformality_max": conf,
         "sinh_gordon_max": sg_max,
         "periodicity": None,
+        # ny is rounded so the y spacing matches the x spacing
+        "grid_effective": [len(sample.x), len(sample.y)],
+        # worst factorization defects over the grid; None for closed-form frames
+        "frame_defects": getattr(fn, "defects", None),
     }
     checks = [
         h_dev < args.tol_geom * max(1.0, abs(h_exp)),

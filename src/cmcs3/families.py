@@ -91,18 +91,26 @@ def sphere_xi():
     return la.LaurentMatrix(1, coeffs)
 
 
-def sphere_frame(z, lam):
-    """Closed-form extended frame of the sphere."""
-    z = complex(z)
+def _z_against_lam(z, lam):
+    """z and lam as arrays, z given trailing axes so it broadcasts against lam."""
     lam = np.asarray(lam, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    return z.reshape(z.shape + (1,) * lam.ndim), lam
+
+
+def sphere_frame(z, lam):
+    """Closed-form extended frame of the sphere, shape z.shape + lam.shape + (2, 2)."""
+    z, lam = _z_against_lam(z, lam)
     zb = np.conj(z)
-    norm = 1.0 / np.sqrt(1.0 + z * zb)
-    out = np.empty(lam.shape + (2, 2), dtype=complex)
+    # |z|^2 in real arithmetic rounds like the scalar z * conj(z) of a per-point
+    # call; numpy's vectorized complex product can differ in the last bit
+    norm = 1.0 / np.sqrt(1.0 + (z.real * z.real + z.imag * z.imag))
+    out = np.empty(np.broadcast_shapes(z.shape, lam.shape) + (2, 2), dtype=complex)
     out[..., 0, 0] = 1.0
     out[..., 0, 1] = z / lam
     out[..., 1, 0] = -lam * zb
     out[..., 1, 1] = 1.0
-    return norm * out
+    return norm[..., None, None] * out
 
 
 def sphere_u(z):
@@ -167,11 +175,13 @@ def flat_xi(t0=math.pi / 4):
 
 
 def flat_frame(z, lam):
-    """Closed-form flat frame: exp of (i/2)[[0, z/lam + conj z], [z + conj(z) lam, 0]]."""
-    z = complex(z)
-    lam = np.asarray(lam, dtype=complex)
+    """Closed-form flat frame: exp of (i/2)[[0, z/lam + conj z], [z + conj(z) lam, 0]].
+
+    Vectorized over z and lam: the result has shape z.shape + lam.shape + (2, 2).
+    """
+    z, lam = _z_against_lam(z, lam)
     zb = np.conj(z)
-    a = np.zeros(lam.shape + (2, 2), dtype=complex)
+    a = np.zeros(np.broadcast_shapes(z.shape, lam.shape) + (2, 2), dtype=complex)
     a[..., 0, 1] = 0.5j * (z / lam + zb)
     a[..., 1, 0] = 0.5j * (z + zb * lam)
     return iwasawa.expm_traceless(a)

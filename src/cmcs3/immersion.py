@@ -16,10 +16,11 @@ from . import iwasawa
 from . import loop_algebra as la
 from .errors import ConvergenceError, DomainError, PreconditionError
 
-# Sign conventions of the second-fundamental-form contractions, calibrated
-# once against the flat family (H = cot(2 t0), Q = i(1/lam_1 - 1/lam_0)/4).
-_H_SIGN = 1.0
-_Q_SIGN = 1.0
+# Side of the square tiles that frame_fn_from_xi splits a grid into.  Each
+# tile costs one direct factorization; a wider tile lengthens the offset
+# loops exp(w zeta0): degree 4-6 for Delaunay fields at |w| <= 1.4, against
+# 7-8 for exp(z xi) at |z| = 5.
+_TILE = 1.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,12 @@ def hopf_scale(xi):
 
 def sym_bobenko(f0, f1):
     """Immersion point from the frames at the two marked values."""
-    return f1 @ iwasawa.inv2(f0)
+    return f1 @ iwasawa.inv2_general(f0)
 
 
 def normal(f0, f1):
     """Unit normal from the same frame pair."""
-    return f1 @ la.EPS @ iwasawa.inv2(f0)
+    return f1 @ la.EPS @ iwasawa.inv2_general(f0)
 
 
 def su2_to_r4(m):
@@ -112,25 +113,86 @@ def su2_to_r4(m):
     )
 
 
+def _tiles(zs):
+    """Index arrays splitting the points zs into square tiles of side <= _TILE.
+
+    The bounding box of zs is cut evenly along each axis.
+    """
+    keys = np.zeros(zs.shape, dtype=int)
+    for coord in (zs.real, zs.imag):
+        lo, extent = coord.min(), np.ptp(coord)
+        count = max(int(np.ceil(extent / _TILE)), 1)
+        idx = np.zeros(zs.shape, dtype=int)
+        if extent > 0:
+            idx = np.minimum(((coord - lo) * (count / extent)).astype(int), count - 1)
+        keys = keys * count + idx
+    _, inverse = np.unique(keys, return_inverse=True)
+    return [np.nonzero(inverse == t)[0] for t in range(inverse.max() + 1)]
+
+
+class _TiledFrames:
+    """Frame supplier backed by the loop-group factorization (see frame_fn_from_xi)."""
+
+    def __init__(self, xi, marked, tol):
+        self.xi = xi
+        self.lams = np.array([marked.lam0, marked.lam1])
+        self.tol = tol
+        self.defects = None
+
+    def __call__(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.ravel()
+        vals = np.empty((flat.size, 2, 2, 2), dtype=complex)
+        tiles = [(flat[idx][np.argmax(np.abs(flat[idx]))], idx) for idx in _tiles(flat)]
+        # the tile reaching farthest out is the likeliest to fail: factor it first
+        tiles.sort(key=lambda tile: -abs(tile[0]))
+        unit = recon = 0.0
+        for z0, idx in tiles:
+            fp = iwasawa.frame(self.xi, z0, tol=self.tol)
+            f_z0 = fp.f.evaluate(self.lams)
+            vals[idx] = f_z0
+            unit = max(unit, fp.unitarity_defect)
+            recon = max(recon, fp.reconstruction_defect)
+            rest = idx[flat[idx] != z0]
+            if rest.size:
+                zeta = iwasawa.transport(self.xi, fp)
+                local, u, r = iwasawa.frame_values(zeta, flat[rest] - z0, self.lams, tol=self.tol)
+                vals[rest] = iwasawa.mul2(f_z0, local)
+                unit = max(unit, float(u.max()))
+                recon = max(recon, float(r.max()))
+        self.defects = {"unitarity_max": unit, "reconstruction_max": recon,
+                        "anchors": len(tiles)}
+        vals = vals.reshape(zs.shape + (2, 2, 2))
+        return vals[..., 0, :, :], vals[..., 1, :, :]
+
+
 def frame_fn_from_xi(xi, marked, tol=1e-9):
-    """Frame supplier backed by the loop-group factorization."""
+    """Frame supplier backed by the loop-group factorization, vectorized over z.
 
-    def fn(z):
-        fp = iwasawa.frame(xi, z, tol=tol)
-        lams = np.array([marked.lam0, marked.lam1])
-        vals = fp.f.evaluate(lams)
-        return vals[0], vals[1]
-
-    return fn
+    fn(zs) returns the frames (F0s, F1s) at the two marked points, each of
+    shape zs.shape + (2, 2); a scalar z gives a pair of 2x2 matrices.  The
+    points are split into tiles of side at most _TILE.  Each tile's anchor
+    z0, its point farthest from the origin, is factorized directly, and the
+    rest of the tile follows from F(z0 + w) = F(z0) F_zeta0(w), where
+    zeta0 = F(z0)^{-1} xi F(z0) is the transported Killing field: one
+    stacked factorization of exp(w zeta0) over the tile's offsets w.  After
+    a call, fn.defects holds the largest unitarity and reconstruction
+    defects over the grid and the number of anchors.
+    """
+    return _TiledFrames(xi, marked, tol)
 
 
 def frame_fn_from_closed_form(closed_frame, marked):
-    """Frame supplier from a closed-form frame function (z, lam) -> SU(2)."""
+    """Frame supplier from a closed-form frame function (zs, lam) -> SU(2).
 
-    def fn(z):
-        lams = np.array([marked.lam0, marked.lam1])
-        vals = closed_frame(z, lams)
-        return vals[0], vals[1]
+    closed_frame must broadcast over an array of z; fn(zs) returns the pair
+    (F0s, F1s), each of shape zs.shape + (2, 2).
+    """
+    lams = np.array([marked.lam0, marked.lam1])
+
+    def fn(zs):
+        vals = closed_frame(zs, lams)
+        return vals[..., 0, :, :], vals[..., 1, :, :]
 
     return fn
 
@@ -206,13 +268,13 @@ def derive_geometry(sample):
     n2 = -_dot4(ny, fy)
     det_i = e * g - ff * ff
     with np.errstate(divide="ignore", invalid="ignore"):
-        sample.h_num = _H_SIGN * (e * n2 - 2.0 * ff * m + g * l) / (2.0 * det_i)
-        mean = _H_SIGN * 0.5 * (e * n2 - 2.0 * ff * m + g * l) / det_i
+        mean = (e * n2 - 2.0 * ff * m + g * l) / (2.0 * det_i)
         gauss = (l * n2 - m * m) / det_i
         disc = np.sqrt(np.maximum(mean * mean - gauss, 0.0))
+        sample.h_num = mean
         sample.k1 = mean + disc
         sample.k2 = mean - disc
-    sample.q_num = _Q_SIGN * _dot4(fz, nz)
+    sample.q_num = _dot4(fz, nz)
     return sample
 
 
@@ -221,21 +283,18 @@ def sample_surface(frame_fn, marked, domain, nx, ny):
 
     domain is (x_min, x_max, y_min, y_max); the grid spacing must be equal in
     both directions for the finite-difference stencils, so ny is adjusted to
-    the nearest count with matching spacing if necessary.
+    the nearest count with matching spacing if necessary (len(sample.y) is
+    the count used).  frame_fn is vectorized: it gets the whole grid of z,
+    shape (ny, nx), in one call and returns the frame pair at the marked
+    points, each of shape (ny, nx, 2, 2).
     """
     x0, x1, y0, y1 = domain
     x = np.linspace(x0, x1, nx)
     hx = x[1] - x[0]
     ny_eff = max(int(round((y1 - y0) / hx)) + 1, 5)
     y = y0 + hx * np.arange(ny_eff)
-    f = np.empty((ny_eff, nx, 2, 2), dtype=complex)
-    n = np.empty((ny_eff, nx, 2, 2), dtype=complex)
-    for iy, yy in enumerate(y):
-        for ix, xx in enumerate(x):
-            f0, f1 = frame_fn(complex(xx, yy))
-            f[iy, ix] = sym_bobenko(f0, f1)
-            n[iy, ix] = normal(f0, f1)
-    sample = SurfaceSample(marked=marked, x=x, y=y, f=f, n=n)
+    f0, f1 = frame_fn(x[None, :] + 1j * y[:, None])
+    sample = SurfaceSample(marked=marked, x=x, y=y, f=sym_bobenko(f0, f1), n=normal(f0, f1))
     _validate_pointwise(sample)
     return derive_geometry(sample)
 
@@ -432,26 +491,21 @@ def export_mesh(sample, path, stitch_x=False, stitch_y=False, pole=None):
 
 
 def write_surface_csv(sample, path):
-    """Dump the per-vertex fields as CSV."""
+    """Dump the per-vertex fields as CSV (9 significant digits; NaN Q as nan,nan)."""
     if sample.u is None:
         derive_geometry(sample)
-    rows = ["x,y,f0,f1,f2,f3,u,v,H,Q_re,Q_im"]
     ny, nx = sample.f4.shape[:2]
-    for iy in range(ny):
-        for ix in range(nx):
-            p = sample.f4[iy, ix]
-            vals = [
-                sample.x[ix], sample.y[iy], p[0], p[1], p[2], p[3],
-                sample.u[iy, ix], sample.v[iy, ix], sample.h_num[iy, ix],
-            ]
-            q = sample.q_num[iy, ix]
-            txt = ",".join("nan" if np.isnan(np.real(v)) else f"{np.real(v):.9g}" for v in vals)
-            qtxt = (
-                "nan,nan"
-                if q is None or np.isnan(q.real)
-                else f"{q.real:.9g},{q.imag:.9g}"
-            )
-            rows.append(f"{txt},{qtxt}")
+    q = sample.q_num
+    cols = [
+        np.broadcast_to(sample.x[None, :], (ny, nx)),
+        np.broadcast_to(sample.y[:, None], (ny, nx)),
+        *np.moveaxis(sample.f4, -1, 0),
+        np.real(sample.u), np.real(sample.v), np.real(sample.h_num),
+        q.real, np.where(np.isnan(q.real), np.nan, q.imag),
+    ]
+    table = np.stack(cols, axis=-1).reshape(ny * nx, len(cols)).tolist()
+    fmt = ",".join(["%.9g"] * len(cols))
+    rows = ["x,y,f0,f1,f2,f3,u,v,H,Q_re,Q_im"] + [fmt % tuple(r) for r in table]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     return path

@@ -1,9 +1,9 @@
 """Numerical loop-group machinery.
 
-Loops S^1 -> 2x2 complex matrices are held as truncated Fourier series.  The
-central operation factorizes a loop Phi with det = 1 into a unitary loop F
-and a "plus" loop B (holomorphic in the disk, B(0) upper triangular with
-positive diagonal):
+Loops S^1 -> 2x2 complex matrices are held as truncated Fourier series,
+singly or as a stack of loops sharing one degree.  The central operation
+factorizes a loop Phi with det = 1 into a unitary loop F and a "plus" loop B
+(holomorphic in the disk, B(0) upper triangular with positive diagonal):
 
     Phi = F B.
 
@@ -12,8 +12,12 @@ unit circle by a Bauer-type block-Toeplitz Cholesky step.  Because S = Phi*Phi
 is a trigonometric matrix polynomial of band 2N, its spectral factor is a
 matrix polynomial of degree at most 2N, and the first block row of the
 triangular Toeplitz factor recovers its coefficients without truncation
-error.  A Wilson fixed-point iteration is kept as a fallback refinement for
-badly conditioned inputs.
+error.  A polar projection of the unitary samples then removes the
+conditioning floor of F = Phi B^{-1}.
+
+Every step runs on a whole stack at once: the 2x2 products are written out
+entrywise over the stack and the Cholesky sections are factorized in one
+batched call.  A single loop is a stack with no leading axis.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +28,11 @@ from . import loop_algebra as la
 from .errors import ConditioningError, ConvergenceError, PreconditionError
 
 _I2 = np.eye(2, dtype=complex)
+
+# Memory budget of one stacked factorization pass.  Per loop of degree n the
+# block-Toeplitz section and its Cholesky factor hold 2 (8n)^2 complex
+# entries, and the circle samples about 16 arrays of m 2x2 matrices.
+_STACK_BYTES = 4 << 20
 
 
 def expm_traceless(a):
@@ -41,14 +50,37 @@ def expm_traceless(a):
     return np.cosh(q)[..., None, None] * _I2 + sinhc[..., None, None] * a
 
 
-def inv2(m):
-    """Inverse of 2x2 matrices with unit determinant (vectorized)."""
+def mul2(a, b):
+    """Products a b of 2x2 matrices, written out entrywise (broadcast over leading axes).
+
+    On stacks this is several times faster than matmul, which calls one
+    small gemm per matrix.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def adjoint2(a):
+    """Conjugate transpose of 2x2 matrices (vectorized)."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def inv2_general(m):
+    """Inverse of 2x2 matrices (vectorized); a singular matrix raises."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if np.any(np.abs(det) < 1e-300):
+        raise ConditioningError("singular 2x2 matrix in loop inversion")
     out = np.empty_like(m)
     out[..., 0, 0] = m[..., 1, 1]
     out[..., 1, 1] = m[..., 0, 0]
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return out / det[..., None, None]
 
 
@@ -56,50 +88,64 @@ def circle_points(m):
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
+def _per_loop_max(x):
+    """Max of |x| over the last three axes (one value per loop of a stack)."""
+    return np.max(np.abs(x), axis=(-3, -2, -1))
+
+
 @dataclass(frozen=True)
 class FourierLoop:
-    """Truncated Fourier series C_{-N} ... C_N of a loop S^1 -> C^{2x2}."""
+    """Truncated Fourier series C_{-N} ... C_N of a loop S^1 -> C^{2x2}.
+
+    coeffs has shape (2n+1, 2, 2), or (P, 2n+1, 2, 2) for a stack of P loops
+    of common degree n; coeffs[..., k + n, :, :] multiplies lam^k.
+    """
 
     n: int
-    coeffs: np.ndarray  # shape (2n+1, 2, 2); coeffs[k + n] multiplies lam^k
+    coeffs: np.ndarray
     loop_class: str = field(default="general", compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.n + 1, 2, 2):
-            raise PreconditionError(f"expected shape {(2 * self.n + 1, 2, 2)}, got {c.shape}")
+        if c.ndim not in (3, 4) or c.shape[-3:] != (2 * self.n + 1, 2, 2):
+            raise PreconditionError(
+                f"expected shape ([P,] {2 * self.n + 1}, 2, 2), got {c.shape}"
+            )
         object.__setattr__(self, "coeffs", c)
 
     def coeff(self, k):
         if -self.n <= k <= self.n:
-            return self.coeffs[k + self.n]
-        return np.zeros((2, 2), dtype=complex)
+            return self.coeffs[..., k + self.n, :, :]
+        return np.zeros(self.coeffs.shape[:-3] + (2, 2), dtype=complex)
 
     def evaluate(self, lam):
+        """Values at lam, with shape stack + lam.shape + (2, 2)."""
         lam = np.asarray(lam, dtype=complex)
         powers = lam[..., None] ** np.arange(-self.n, self.n + 1)
-        return np.einsum("...k,kij->...ij", powers, self.coeffs)
+        out = np.tensordot(self.coeffs, powers, axes=([-3], [-1]))
+        s = self.coeffs.ndim - 3
+        return np.moveaxis(out, (s, s + 1), (-2, -1))
 
     def samples(self, m):
         """Values at the m-th roots of unity (exact for m >= 2n+1)."""
         if m < 2 * self.n + 1:
             raise PreconditionError("sample count below Nyquist for this loop")
-        pad = np.zeros((m, 2, 2), dtype=complex)
-        for k in range(-self.n, self.n + 1):
-            pad[k % m] += self.coeffs[k + self.n]
-        return np.fft.ifft(pad, axis=0) * m
-
-    def scale(self):
-        return max(np.max(np.abs(self.coeffs)), 1e-300)
+        pad = np.zeros(self.coeffs.shape[:-3] + (m, 2, 2), dtype=complex)
+        pad[..., np.arange(-self.n, self.n + 1) % m, :, :] = self.coeffs
+        return np.fft.ifft(pad, axis=-3) * m
 
     def trimmed(self, tol=1e-13):
-        norms = np.max(np.abs(self.coeffs), axis=(1, 2))
-        keep = np.nonzero(norms > tol * self.scale())[0]
+        """Drop the outer modes below tol relative to each loop's largest one."""
+        norms = np.max(np.abs(self.coeffs), axis=(-2, -1)).reshape(-1, 2 * self.n + 1)
+        scale = np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
+        keep = np.nonzero(np.any(norms > tol * scale, axis=0))[0]
         if keep.size == 0:
-            return FourierLoop(0, np.zeros((1, 2, 2), complex), self.loop_class)
+            return FourierLoop(
+                0, np.zeros(self.coeffs.shape[:-3] + (1, 2, 2), complex), self.loop_class
+            )
         half = max(abs(int(keep[0]) - self.n), abs(int(keep[-1]) - self.n))
         lo, hi = self.n - half, self.n + half
-        return FourierLoop(half, self.coeffs[lo: hi + 1], self.loop_class)
+        return FourierLoop(half, self.coeffs[..., lo: hi + 1, :, :], self.loop_class)
 
 
 def identity_loop():
@@ -109,38 +155,47 @@ def identity_loop():
 
 
 def coeffs_from_samples(samples):
-    """Centered Fourier coefficients (k = -m/2 .. m/2-1) from circle samples."""
-    m = samples.shape[0]
-    raw = np.fft.fft(samples, axis=0) / m
+    """Centered Fourier coefficients (k = -m/2 .. m/2-1) from circle samples.
+
+    The samples run along axis -3, so a stack (P, m, 2, 2) transforms at once.
+    """
+    m = samples.shape[-3]
+    raw = np.fft.fft(samples, axis=-3) / m
     ks = np.arange(-(m // 2), m - m // 2)
-    return ks, raw[ks % m]
+    return ks, raw[..., ks % m, :, :]
 
 
 def loop_from_samples(samples, tail_tol, loop_class="general"):
-    """Build a FourierLoop from circle samples, or None if the tail is fat."""
+    """Build a FourierLoop (or a stack) from circle samples, or None if a tail is fat.
+
+    Each loop's modes are judged against its own largest mode; a stack keeps
+    the widest significant band of its loops.
+    """
     ks, cs = coeffs_from_samples(samples)
-    norms = np.max(np.abs(cs), axis=(1, 2))
-    scale = max(norms.max(), 1e-300)
-    m = samples.shape[0]
-    guard = norms[(np.abs(ks) >= m // 4)]
-    if guard.size and guard.max() > tail_tol * scale:
+    m = samples.shape[-3]
+    norms = np.max(np.abs(cs), axis=(-2, -1)).reshape(-1, m)
+    cut = tail_tol * np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
+    if np.any(norms[:, np.abs(ks) >= m // 4] > cut):
         return None
-    sig = np.nonzero(norms > tail_tol * scale)[0]
+    sig = np.nonzero(np.any(norms > cut, axis=0))[0]
     half = int(max(abs(ks[sig[0]]), abs(ks[sig[-1]]))) if sig.size else 0
-    out = np.zeros((2 * half + 1, 2, 2), dtype=complex)
     mask = np.abs(ks) <= half
-    out[ks[mask] + half] = cs[mask]
+    out = np.zeros(samples.shape[:-3] + (2 * half + 1, 2, 2), dtype=complex)
+    out[..., ks[mask] + half, :, :] = cs[..., mask, :, :]
     return FourierLoop(half, out, loop_class)
 
 
 def exp_loop(xi, z, tail_tol=1e-12, max_samples=4096):
-    """Fourier loop of lam -> exp(z xi(lam)), adaptively truncated."""
+    """Fourier loop of lam -> exp(z xi(lam)), adaptively truncated.
+
+    z is a scalar, or a 1-D array giving a stack of loops that share the
+    sample count and the degree.
+    """
+    z = np.asarray(z, dtype=complex)
     m = 64
     while m <= max_samples:
-        lam = circle_points(m)
-        a = complex(z) * la.evaluate(xi, lam)
-        samples = expm_traceless(a)
-        loop = loop_from_samples(samples, tail_tol)
+        a = z[..., None, None, None] * la.evaluate(xi, circle_points(m))
+        loop = loop_from_samples(expm_traceless(a), tail_tol)
         if loop is not None:
             return loop
         m *= 2
@@ -158,35 +213,57 @@ class FramePoint:
     reconstruction_defect: float
 
 
-def _bauer_factor(s_coeffs, band, blocks):
+def _sample_count(n):
+    """Circle samples for factorizing a degree-n loop: a power of two >= 8(n+1)."""
+    m = 64
+    while m < 8 * (n + 1):
+        m *= 2
+    return m
+
+
+def _stack_bytes(n):
+    """Working memory of factorizing one degree-n loop (see _STACK_BYTES)."""
+    blocks = max(4 * n, 8)
+    return 16 * (2 * (2 * blocks) ** 2 + 64 * _sample_count(n))
+
+
+def _bauer_factor(s_band, band, blocks):
     """Spectral factor coefficients from a block-Toeplitz Cholesky section.
 
-    s_coeffs maps k -> S_k for |k| <= band.  Factors the finite section
-    T[i, j] = S_{j-i} as U^H U and reads B_0 ... B_{band} from the last fully
-    banded block row of U, where the recursion has converged; then
-    S(lam) = B(lam)^* B(lam) on the circle with B_0 upper triangular,
-    positive diagonal.
+    s_band[..., k + band, :, :] holds S_k for |k| <= band.  Factors the
+    finite section T[i, j] = S_{j-i} as U^H U and reads B_0 ... B_{band} from
+    the last fully banded block row of U, where the recursion has converged;
+    then S(lam) = B(lam)^* B(lam) on the circle with B_0 upper triangular,
+    positive diagonal.  A stack of S gives a stack of B in one batched
+    Cholesky call.
     """
-    m = blocks
-    if m < band + 2:
-        m = band + 2
-    t = np.zeros((m, 2, m, 2), dtype=complex)
-    for k in range(-band, band + 1):
-        sk = s_coeffs.get(k)
-        if sk is None:
-            continue
-        i = np.arange(max(0, -k), min(m, m - k))
-        t[i, :, i + k, :] = sk
-    t = t.reshape(2 * m, 2 * m)
+    m = max(blocks, band + 2)
+    stack = s_band.shape[:-3]
+    # conj(T) = L L^H, so T = U^H U with U = L^T.  Entry (2i+a, 2j+b) of
+    # conj(T) is entry (a, b) of conj(S_{j-i}): one gather from the padded
+    # sequence conj(S_k), k = -(m-1) .. m-1, flattened.
+    s_pad = np.zeros(stack + (2 * m - 1, 2, 2), dtype=complex)
+    s_pad[..., m - 1 - band: m + band, :, :] = np.conj(s_band)
+    blk = np.arange(2 * m) // 2
+    sub = np.arange(2 * m) % 2
+    flat_idx = 4 * (blk[None, :] - blk[:, None] + m - 1) + 2 * sub[:, None] + sub[None, :]
+    t = np.take(s_pad.reshape(stack + (-1,)), flat_idx, axis=-1)
     try:
-        c = np.linalg.cholesky(np.conj(t))
+        c = np.linalg.cholesky(t)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"block-Toeplitz matrix lost positive definiteness: {exc}")
-    u = c.T  # T = U^H U with U upper triangular, positive diagonal
     r = m - 1 - band
+    rows = np.swapaxes(c[..., :, 2 * r: 2 * r + 2], -1, -2)  # block row r of U
     return np.stack(
-        [u[2 * r : 2 * r + 2, 2 * (r + k) : 2 * (r + k) + 2] for k in range(band + 1)]
+        [rows[..., 2 * (r + k): 2 * (r + k) + 2] for k in range(band + 1)], axis=-3
     )
+
+
+def _plus_samples(b_coeffs, m):
+    """Circle samples of the plus loops with coefficients B_0 ... B_band."""
+    pad = np.zeros(b_coeffs.shape[:-3] + (m, 2, 2), dtype=complex)
+    pad[..., : b_coeffs.shape[-3], :, :] = b_coeffs
+    return np.fft.ifft(pad, axis=-3) * m
 
 
 def _unitary_polish(f_samples):
@@ -195,147 +272,87 @@ def _unitary_polish(f_samples):
     For 2x2 Hermitian positive H = F^H F near the identity, the principal
     square root is (H + sqrt(det H) I)/sqrt(tr H + 2 sqrt(det H)).
     """
-    h = np.conj(np.transpose(f_samples, (0, 2, 1))) @ f_samples
+    h = mul2(adjoint2(f_samples), f_samples)
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
     sq = np.sqrt(det.real)
     tr = (h[..., 0, 0] + h[..., 1, 1]).real
     root = (h + sq[..., None, None] * _I2) / np.sqrt(tr + 2.0 * sq)[..., None, None]
-    return f_samples @ inv2_general(root)
+    return mul2(f_samples, inv2_general(root))
 
 
-def _plus_project(samples, halve_zero=True):
-    """Project circle samples onto nonnegative Fourier modes."""
-    m = samples.shape[0]
-    ks, cs = coeffs_from_samples(samples)
-    keep = np.zeros_like(cs)
-    pos = ks > 0
-    keep[pos] = cs[pos]
-    zero = ks == 0
-    keep[zero] = 0.5 * cs[zero] if halve_zero else cs[zero]
-    pad = np.zeros((m, 2, 2), dtype=complex)
-    for k, ck in zip(ks[pos | zero], keep[pos | zero]):
-        pad[k % m] += ck
-    return np.fft.ifft(pad, axis=0) * m
-
-
-def _wilson_refine(s_samples, b_samples, max_iter=50, tol=1e-13):
-    """Wilson fixed-point refinement of the right spectral factor.
-
-    Iterates B <- P_+[B^{-*} S B^{-1} + 1]/2 . B, which converges
-    quadratically to the factor with S = B*B once in its basin.
-    """
-    b = b_samples
-    for _ in range(max_iter):
-        binv = inv2_general(b)
-        g = np.conj(np.transpose(binv, (0, 2, 1))) @ s_samples @ binv
-        step = _plus_project(g + _I2)
-        b_new = step @ b
-        rel = np.max(np.abs(b_new - b)) / max(np.max(np.abs(b)), 1e-300)
-        b = b_new
-        if rel < tol:
-            break
-    return b
-
-
-def inv2_general(m):
-    """Inverse of general 2x2 matrices (vectorized)."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if np.any(np.abs(det) < 1e-300):
-        raise ConditioningError("singular 2x2 matrix in loop inversion")
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
-
-
-def _normalize_b0(b_coeffs, f_samples=None, b_samples=None):
+def _normalize_b0(b_coeffs, f_samples):
     """Rotate the plus factor so B(0) is upper triangular, positive diagonal."""
-    b0 = b_coeffs[0]
-    q, r = np.linalg.qr(b0)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    v = q * phases[None, :]
-    vh = np.conj(v.T)
-    f_out = f_samples @ v[None] if f_samples is not None else None
-    b_out = vh[None] @ b_samples if b_samples is not None else None
-    return vh[None] @ b_coeffs, f_out, b_out
+    q, r = np.linalg.qr(b_coeffs[..., 0, :, :])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    v = q * (phases / np.abs(phases))[..., None, :]
+    return mul2(adjoint2(v)[..., None, :, :], b_coeffs), mul2(f_samples, v[..., None, :, :])
+
+
+def _unitarity_defect(f_samples):
+    """max |F F^H - I| over the circle samples, one value per loop."""
+    return _per_loop_max(mul2(f_samples, adjoint2(f_samples)) - _I2)
 
 
 def iwasawa_factor(phi, tol=1e-9, tail_tol=1e-12, max_samples=8192):
-    """Split a det-1 loop into unitary and plus factors, Phi = F B.
+    """Split det-1 loops into unitary and plus factors, Phi = F B.
 
-    Bauer block-Toeplitz factorization of S = Phi^H Phi seeds the plus
-    factor; Wilson iteration rescues a poor seed; a final polar projection
-    of the unitary samples removes the conditioning floor of F = Phi B^{-1}.
-    The causality of B = F^H Phi and the loop reconstruction Phi = F B are
-    the structural checks.
+    phi is one loop or a stack; the stack is factorized in one pass and
+    every check runs per loop.  Bauer block-Toeplitz factorization of
+    S = Phi^H Phi seeds the plus factor, and a polar projection of the
+    unitary samples removes the conditioning floor of F = Phi B^{-1}.  The
+    causality of B = F^H Phi and the loop reconstruction Phi = F B are the
+    structural checks.  Returns (F, B, unitarity defects, reconstruction
+    defects), the defects with the stack's shape; a failing check raises
+    with the worst residual of the stack.
     """
     n = phi.n
-    m = 1
-    while m < max(8 * (n + 1), 64):
-        m *= 2
+    band = 2 * n
+    m = _sample_count(n)
     while True:
         phi_s = phi.samples(m)
-        sh = np.conj(np.transpose(phi_s, (0, 2, 1)))
-        s_s = sh @ phi_s
-        ks, s_cs = coeffs_from_samples(s_s)
-        band = 2 * n
-        s_map = {int(k): s_cs[idx] for idx, k in enumerate(ks) if abs(k) <= band}
-        b_coeffs = _bauer_factor(s_map, band, max(4 * n, 8))
-        b_pad = np.zeros((m, 2, 2), dtype=complex)
-        for k in range(min(band + 1, m)):
-            b_pad[k % m] += b_coeffs[k]
-        b_s = np.fft.ifft(b_pad, axis=0) * m
-        f_s = phi_s @ inv2_general(b_s)
-        if _unitarity_defect(f_s) > 1e-3:
-            b_s = _wilson_refine(s_s, b_s)
-            f_s = phi_s @ inv2_general(b_s)
-            if _unitarity_defect(f_s) > 1e-3:
-                raise ConvergenceError(
-                    "spectral factorization failed to seed the unitary factor",
-                    residual=_unitarity_defect(f_s),
-                )
+        ks, s_cs = coeffs_from_samples(mul2(adjoint2(phi_s), phi_s))
+        b_coeffs = _bauer_factor(s_cs[..., np.abs(ks) <= band, :, :], band, max(4 * n, 8))
+        f_s = mul2(phi_s, inv2_general(_plus_samples(b_coeffs, m)))
+        seed = float(np.max(_unitarity_defect(f_s)))
+        if seed > 1e-3:
+            raise ConvergenceError(
+                "spectral factorization failed to seed the unitary factor", residual=seed
+            )
         # Polar projection onto the unitary group, then recompute the plus
         # factor exactly from it; its acausal tail measures the residual.
         f_s = _unitary_polish(f_s)
-        b_s = np.conj(np.transpose(f_s, (0, 2, 1))) @ phi_s
-        ks_b, b_cs = coeffs_from_samples(b_s)
-        scale = max(np.max(np.abs(b_cs)), 1e-300)
-        acausal = np.max(np.abs(b_cs[ks_b < 0])) / scale if np.any(ks_b < 0) else 0.0
+        ks_b, b_cs = coeffs_from_samples(mul2(adjoint2(f_s), phi_s))
+        scale = np.maximum(_per_loop_max(b_cs), 1e-300)
+        acausal = float(np.max(_per_loop_max(b_cs[..., ks_b < 0, :, :]) / scale))
         if acausal > tol:
             raise ConvergenceError(
-                f"plus factor has acausal energy {acausal:.3e}", residual=float(acausal)
+                f"plus factor has acausal energy {acausal:.3e}", residual=acausal
             )
-        b_coeffs = np.zeros((band + 1, 2, 2), dtype=complex)
-        for idx, k in enumerate(ks_b):
-            if 0 <= k <= band:
-                b_coeffs[int(k)] = b_cs[idx]
-        b_coeffs, f_s, _ = _normalize_b0(b_coeffs, f_s, None)
+        b_coeffs, f_s = _normalize_b0(b_cs[..., (ks_b >= 0) & (ks_b <= band), :, :], f_s)
         defect = _unitarity_defect(f_s)
-        if defect > tol:
+        worst = float(np.max(defect))
+        if worst > tol:
             raise ConvergenceError(
-                f"unitarity defect {defect:.3e} above tolerance {tol}",
-                residual=float(defect),
+                f"unitarity defect {worst:.3e} above tolerance {tol}", residual=worst
             )
-        f_loop = loop_from_samples(f_s, tail_tol)
+        f_loop = loop_from_samples(f_s, tail_tol, "unitary")
         if f_loop is None:
             if m >= max_samples:
                 raise ConvergenceError("unitary factor tail not resolved", residual=None)
             m *= 2
             continue
-        b_centered = np.zeros((2 * band + 1, 2, 2), dtype=complex)
-        b_centered[band:] = b_coeffs
+        b_centered = np.zeros(b_coeffs.shape[:-3] + (2 * band + 1, 2, 2), dtype=complex)
+        b_centered[..., band:, :, :] = b_coeffs
         b_loop = FourierLoop(band, b_centered, "plus").trimmed(tail_tol)
-        f_loop = FourierLoop(f_loop.n, f_loop.coeffs, "unitary")
-        recon = np.max(np.abs(f_loop.samples(m) @ b_loop.samples(m) - phi_s)) / phi.scale()
-        return f_loop, b_loop, float(defect), float(recon)
+        recon_err = mul2(f_loop.samples(m), b_loop.samples(m)) - phi_s
+        recon = _per_loop_max(recon_err) / np.maximum(_per_loop_max(phi.coeffs), 1e-300)
+        return f_loop, b_loop, defect, recon
 
 
-def _unitarity_defect(f_samples):
-    gram = f_samples @ np.conj(np.transpose(f_samples, (0, 2, 1)))
-    return float(np.max(np.abs(gram - _I2)))
+def _check_reconstruction(recon, tol):
+    worst = float(np.max(recon))
+    if worst > 100 * tol:
+        raise ConvergenceError(f"reconstruction defect {worst:.3e}", residual=worst)
 
 
 def frame(xi, z, tol=1e-9, tail_tol=1e-12):
@@ -345,41 +362,63 @@ def frame(xi, z, tol=1e-9, tail_tol=1e-12):
         return FramePoint(0j, ident, identity_loop(), 0.0, 0.0)
     phi = exp_loop(xi, z, tail_tol=tail_tol)
     f, b, defect, recon = iwasawa_factor(phi, tol=tol, tail_tol=tail_tol)
-    if recon > 100 * tol:
-        raise ConvergenceError(f"reconstruction defect {recon:.3e}", residual=recon)
-    return FramePoint(complex(z), f, b, defect, recon)
+    _check_reconstruction(recon, tol)
+    return FramePoint(complex(z), f, b, float(defect), float(recon))
 
 
-def killing_field(xi, z, tol=1e-6, return_residual=False):
-    """Transport the matrix polynomial along the surface: F^{-1} xi F at z.
+def frame_values(xi, zs, lams, tol=1e-9, tail_tol=1e-12):
+    """Frames F(z)(lam) for a 1-D stack of z at the spectral values lams.
+
+    Returns values of shape (P, L, 2, 2) and the per-point unitarity and
+    reconstruction defects.  The stack is factorized in chunks whose working
+    memory fits _STACK_BYTES at the loop degree of the largest |z|; the
+    chunks run in order of |z|, so each one shares the degree of similar
+    points.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    lams = np.asarray(lams, dtype=complex)
+    order = np.argsort(np.abs(zs), kind="stable")
+    n_far = exp_loop(xi, zs[order[-1]], tail_tol=tail_tol).n
+    step = max(1, _STACK_BYTES // _stack_bytes(n_far))
+    vals = np.empty((zs.size, lams.size, 2, 2), dtype=complex)
+    unit = np.empty(zs.size)
+    recon = np.empty(zs.size)
+    for i in range(0, zs.size, step):
+        part = order[i: i + step]
+        phi = exp_loop(xi, zs[part], tail_tol=tail_tol)
+        f, _, unit[part], recon[part] = iwasawa_factor(phi, tol=tol, tail_tol=tail_tol)
+        _check_reconstruction(recon[part], tol)
+        vals[part] = f.evaluate(lams)
+    return vals, unit, recon
+
+
+def transport(xi, fp, tol=1e-6, return_residual=False):
+    """Transport the matrix polynomial to a frame point: F^{-1} xi F.
 
     The conjugated loop is re-projected onto Laurent degrees -1..g; the
     dropped energy is the projection residual.
     """
-    fp = frame(xi, z)
     m = 1
     while m < max(8 * (fp.f.n + xi.g + 2), 64):
         m *= 2
     lam = circle_points(m)
     f_s = fp.f.samples(m)
-    xi_s = la.evaluate(xi, lam)
-    zeta_s = inv2(f_s) @ xi_s @ f_s
+    zeta_s = mul2(mul2(inv2_general(f_s), la.evaluate(xi, lam)), f_s)
     # Multiply by lam so the result is a plain Fourier series starting at 0.
     ks, cs = coeffs_from_samples(lam[:, None, None] * zeta_s)
-    out = np.zeros((xi.g + 2, 2, 2), dtype=complex)
-    resid = 0.0
-    for idx, k in enumerate(ks):
-        if 0 <= k <= xi.g + 1:
-            out[k] = cs[idx]
-        else:
-            resid = max(resid, float(np.max(np.abs(cs[idx]))))
-    resid /= xi.scale()
+    keep = (ks >= 0) & (ks <= xi.g + 1)
+    resid = float(np.max(np.abs(cs[~keep]))) / xi.scale()
     if resid > tol:
         raise ConvergenceError(f"Laurent projection residual {resid:.3e}", residual=resid)
-    zeta = la.LaurentMatrix(xi.g, out, validate=False)
+    zeta = la.LaurentMatrix(xi.g, cs[keep], validate=False)
     if return_residual:
         return zeta, resid
     return zeta
+
+
+def killing_field(xi, z, tol=1e-6, return_residual=False):
+    """The matrix polynomial transported along the surface: F^{-1} xi F at z."""
+    return transport(xi, frame(xi, z), tol=tol, return_residual=return_residual)
 
 
 def monodromy(xi, tau, tol=1e-9):

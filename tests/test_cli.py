@@ -166,3 +166,61 @@ def test_delta_bad_window(tmp_path):
 def test_verify_missing_dir(tmp_path):
     code = run(["verify", "--tests-dir", str(tmp_path / "nope")])
     assert code == cli.EXIT_SCHEMA
+
+
+SURFACE_REPORT_KEYS = {
+    "H_expected", "H_num_mean", "H_max_dev", "Q_expected", "Q_num_mean", "Q_max_dev",
+    "conformality_max", "sinh_gordon_max", "periodicity", "grid_effective",
+    "frame_defects", "passes",
+}
+
+
+def test_surface_report_diagnostics(tmp_path):
+    rep = str(tmp_path / "del.json")
+    code = run(
+        [
+            "surface", "--family", "delaunay", "--grid", "24", "10",
+            "--domain", "-1.5", "1.5", "-0.15", "0.15",
+            "--out", str(tmp_path / "del.obj"), "--report", rep,
+        ]
+    )
+    assert code == cli.EXIT_OK
+    with open(rep) as fh:
+        report = json.load(fh)
+    assert set(report) == SURFACE_REPORT_KEYS
+    # ny = 10 is rounded to the x spacing 3/23: 0.3 / (3/23) + 1 -> 3, then at least 5
+    assert report["grid_effective"] == [24, 5]
+    defects = report["frame_defects"]
+    assert set(defects) == {"unitarity_max", "reconstruction_max", "anchors"}
+    assert defects["anchors"] == 3
+    assert 0.0 <= defects["unitarity_max"] < 1e-9
+    assert 0.0 <= defects["reconstruction_max"] < 1e-7
+
+
+def test_surface_report_closed_form_has_no_frame_defects(tmp_path):
+    rep = str(tmp_path / "c.json")
+    code = run(
+        [
+            "surface", "--family", "clifford", "--grid", "12", "30",
+            "--domain", "0", "1.1", "0", "0.4",
+            "--out", str(tmp_path / "c.obj"), "--report", rep,
+        ]
+    )
+    assert code == cli.EXIT_OK
+    with open(rep) as fh:
+        report = json.load(fh)
+    assert set(report) == SURFACE_REPORT_KEYS
+    assert report["grid_effective"] == [12, 5]
+    assert report["frame_defects"] is None
+
+
+def test_surface_far_strip_exits_numerical(tmp_path):
+    # Delaunay(0.3, 0.5) frames fail from Im z ~ 6.6 on: a window reaching 7.2 fails
+    code = run(
+        [
+            "surface", "--family", "delaunay", "--a_r", "0.3", "--b_r", "0.5",
+            "--grid", "8", "8", "--domain", "0.4", "1.1", "6.5", "7.2",
+            "--out", str(tmp_path / "far.obj"),
+        ]
+    )
+    assert code == cli.EXIT_NUMERICAL

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from cmcs3 import families, immersion as im
+from cmcs3 import families, immersion as im, iwasawa
+from cmcs3 import loop_algebra as la
 from cmcs3.errors import CMCError, DomainError, PreconditionError
 
 
@@ -221,3 +222,115 @@ def test_frame_fn_from_xi_matches_closed_form(flat_pi4):
         b0, b1 = fn_ref(z)
         assert np.max(np.abs(a0 - b0)) < 1e-8
         assert np.max(np.abs(a1 - b1)) < 1e-8
+
+
+def _direct_frames(xi, marked, zs):
+    lams = np.array([marked.lam0, marked.lam1])
+    out = np.empty(zs.shape + (2, 2, 2), dtype=complex)
+    for idx, z in np.ndenumerate(zs):
+        out[idx] = iwasawa.frame(xi, z).f.evaluate(lams)
+    return out[..., 0, :, :], out[..., 1, :, :]
+
+
+def _window(x0, y0, n=8, h=0.1):
+    return (x0 + h * np.arange(n))[None, :] + 1j * (y0 + h * np.arange(n))[:, None]
+
+
+@pytest.mark.parametrize(
+    "a_r, b_r, x0, y0",
+    [(0.3, 0.45, 0.2, 4.2), (0.22, 0.4, 3.0, 2.5), (0.38, 0.5, -1.2, 0.3)],
+)
+def test_tiled_frames_match_direct_delaunay(minimal_marked, a_r, b_r, x0, y0):
+    xi = families.delaunay_xi(families.DelaunayParams(a_r, b_r))
+    zs = _window(x0, y0)
+    assert np.max(np.abs(zs)) <= 5.0
+    fn = im.frame_fn_from_xi(xi, minimal_marked)
+    f0, f1 = fn(zs)
+    r0, r1 = _direct_frames(xi, minimal_marked, zs)
+    assert f0.shape == f1.shape == zs.shape + (2, 2)
+    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
+    assert fn.defects["anchors"] == 1
+    assert fn.defects["unitarity_max"] < 1e-9 and fn.defects["reconstruction_max"] < 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.3 * np.exp(0.4j), 0.6 * np.exp(-2.2j)])
+def test_tiled_frames_match_direct_dressed(minimal_marked, beta):
+    base = families.delaunay_xi(families.DelaunayParams(0.28, 0.45))
+    xi = la.dress_simple_factor(base, beta)
+    zs = _window(0.4, 0.3, n=6, h=0.12)
+    f0, f1 = im.frame_fn_from_xi(xi, minimal_marked)(zs)
+    r0, r1 = _direct_frames(xi, minimal_marked, zs)
+    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
+
+
+def test_tiles_cover_grid_with_far_anchors(delaunay_xi, minimal_marked):
+    # a 2.5 x 1.2 grid splits into 3 x 2 tiles, each anchored at its farthest point
+    zs = (np.linspace(-1.0, 1.5, 11)[None, :] + 1j * np.linspace(0.1, 1.3, 5)[:, None])
+    fn = im.frame_fn_from_xi(delaunay_xi, minimal_marked)
+    f0, f1 = fn(zs)
+    assert fn.defects["anchors"] == 6
+    r0, r1 = _direct_frames(delaunay_xi, minimal_marked, zs)
+    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
+
+
+def test_scalar_supplier_calls(delaunay_xi, minimal_marked, flat_pi4):
+    for fn in (
+        im.frame_fn_from_xi(delaunay_xi, minimal_marked),
+        im.frame_fn_from_closed_form(families.flat_frame, flat_pi4[1]),
+        im.frame_fn_from_closed_form(families.sphere_frame, minimal_marked),
+    ):
+        for z in (0.0, 0.35 - 0.2j):
+            f0, f1 = fn(z)
+            assert f0.shape == f1.shape == (2, 2)
+            assert abs(np.linalg.det(f0) - 1.0) < 1e-9 and abs(np.linalg.det(f1) - 1.0) < 1e-9
+
+
+def test_closed_form_sample_bit_identical_to_pointwise(minimal_marked):
+    # reference: the per-point sampling loop, one supplier call per vertex
+    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
+    s = im.sample_surface(fn, minimal_marked, (0.1, 2.3, -0.4, 1.8), 23, 23)
+    f = np.empty_like(s.f)
+    n = np.empty_like(s.n)
+    for iy, yy in enumerate(s.y):
+        for ix, xx in enumerate(s.x):
+            f0, f1 = fn(complex(xx, yy))
+            f[iy, ix] = im.sym_bobenko(f0, f1)
+            n[iy, ix] = im.normal(f0, f1)
+    assert np.array_equal(f, s.f) and np.array_equal(n, s.n)
+
+
+def _reference_csv(sample):
+    """The per-value CSV formatter the vectorized writer replaced."""
+    rows = ["x,y,f0,f1,f2,f3,u,v,H,Q_re,Q_im"]
+    ny, nx = sample.f4.shape[:2]
+    for iy in range(ny):
+        for ix in range(nx):
+            p = sample.f4[iy, ix]
+            vals = [
+                sample.x[ix], sample.y[iy], p[0], p[1], p[2], p[3],
+                sample.u[iy, ix], sample.v[iy, ix], sample.h_num[iy, ix],
+            ]
+            q = sample.q_num[iy, ix]
+            txt = ",".join("nan" if np.isnan(np.real(v)) else f"{np.real(v):.9g}" for v in vals)
+            qtxt = (
+                "nan,nan"
+                if q is None or np.isnan(q.real)
+                else f"{q.real:.9g},{q.imag:.9g}"
+            )
+            rows.append(f"{txt},{qtxt}")
+    return ("\n".join(rows) + "\n").encode()
+
+
+def test_write_surface_csv_bytes_match_reference(minimal_marked, tmp_path):
+    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
+    s = im.sample_surface(fn, minimal_marked, (-0.6, 0.6, -0.3, 0.5), 13, 9)
+    # edge cases: -inf and -0.0 fields, Q with only its real or imaginary part NaN
+    s.u[3, 4] = -np.inf
+    s.v[4, 5] = -0.0
+    s.h_num[2, 2] = 1e-300
+    s.q_num[3, 3] = complex(np.nan, 0.25)
+    s.q_num[4, 4] = complex(0.25, np.nan)
+    path = str(tmp_path / "surf.csv")
+    im.write_surface_csv(s, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == _reference_csv(s)

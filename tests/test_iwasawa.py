@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmcs3 import families, iwasawa as iw, loop_algebra as la
-from cmcs3.errors import PreconditionError
+from cmcs3.errors import ConvergenceError, PreconditionError
 
 
 def _circle(n, start=0.1):
@@ -143,3 +143,84 @@ def test_fourier_loop_round_trip():
     back = iw.loop_from_samples(samples, tail_tol=1e-10)
     lam = _circle(7)
     assert np.max(np.abs(back.evaluate(lam) - loop.evaluate(lam))) < 1e-12
+
+
+def test_stacked_factorization_matches_single_loops(delaunay_xi):
+    zs = np.array([0.3 + 0.2j, -0.8 + 1.1j, 1.4 - 0.6j])
+    phi = iw.exp_loop(delaunay_xi, zs)
+    assert phi.coeffs.shape[0] == 3
+    f, b, unit, recon = iw.iwasawa_factor(phi)
+    assert unit.shape == recon.shape == (3,)
+    lam = _circle(9)
+    f_vals, b_vals = f.evaluate(lam), b.evaluate(lam)
+    assert f_vals.shape == b_vals.shape == (3, 9, 2, 2)
+    for k, z in enumerate(zs):
+        fp = iw.frame(delaunay_xi, z)
+        assert np.max(np.abs(f_vals[k] - fp.f.evaluate(lam))) < 1e-11
+        assert np.max(np.abs(b_vals[k] - fp.b.evaluate(lam))) < 1e-11
+        assert unit[k] < 1e-9 and recon[k] < 1e-9
+
+
+def test_stacked_failure_carries_worst_residual(delaunay_xi):
+    # Delaunay(0.3, 0.5) frames fail past Im z ~ 6.6; one bad loop fails the stack
+    with pytest.raises(ConvergenceError) as single:
+        iw.frame(delaunay_xi, 0.5 + 7.5j)
+    phi = iw.exp_loop(delaunay_xi, np.array([0.5 + 1j, 0.5 + 7.5j]))
+    with pytest.raises(ConvergenceError) as stacked:
+        iw.iwasawa_factor(phi)
+    assert stacked.value.residual > 1e-9
+    assert stacked.value.residual == pytest.approx(single.value.residual, rel=1e-3)
+
+
+def test_frame_values_spans_chunks(delaunay_xi, monkeypatch):
+    zs = 0.2 + 0.15j + 0.1 * (np.arange(24) % 6) + 0.1j * (np.arange(24) // 6)
+    lams = np.array([1j, -1j])
+    whole, unit, recon = iw.frame_values(delaunay_xi, zs, lams)
+    chunk_sizes = []
+    factor = iw.iwasawa_factor
+
+    def counted(phi, **kw):
+        chunk_sizes.append(phi.coeffs.shape[0])
+        return factor(phi, **kw)
+
+    n_far = iw.exp_loop(delaunay_xi, zs[-1]).n
+    monkeypatch.setattr(iw, "_STACK_BYTES", 5 * iw._stack_bytes(n_far))
+    monkeypatch.setattr(iw, "iwasawa_factor", counted)
+    chunked, unit_c, recon_c = iw.frame_values(delaunay_xi, zs, lams)
+    assert chunk_sizes == [5, 5, 5, 5, 4]
+    assert np.max(np.abs(chunked - whole)) < 1e-11
+    assert np.max(unit_c) < 1e-9 and np.max(recon_c) < 1e-9
+    for k in (0, 11, 23):
+        ref = iw.frame(delaunay_xi, zs[k]).f.evaluate(lams)
+        assert np.max(np.abs(chunked[k] - ref)) < 1e-11
+
+
+def test_transport_shares_the_frame(delaunay_xi):
+    z = 0.4 - 0.7j
+    fp = iw.frame(delaunay_xi, z)
+    zeta, resid = iw.transport(delaunay_xi, fp, return_residual=True)
+    assert resid < 1e-10
+    assert np.array_equal(zeta.coeffs, iw.killing_field(delaunay_xi, z).coeffs)
+    # F(z0 + w) = F(z0) F_zeta(w)
+    w = 0.3 + 0.25j
+    lam = _circle(7)
+    composed = iw.mul2(fp.f.evaluate(lam), iw.frame(zeta, w).f.evaluate(lam))
+    assert np.max(np.abs(composed - iw.frame(delaunay_xi, z + w).f.evaluate(lam))) < 1e-10
+
+
+def test_mul2_matches_matmul():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+    b = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    assert np.max(np.abs(iw.mul2(a, b) - a @ b)) < 1e-14
+    assert np.max(np.abs(iw.mul2(iw.inv2_general(b), b) - np.eye(2))) < 1e-12
+
+
+def test_flat_frame_vectorized_bit_identical():
+    lams = np.array([1j, -1j, np.exp(0.3j)])
+    zs = np.array([[0.3 - 1.2j, 2.5 + 0.1j], [-1.7 + 0.4j, 0.0]])
+    for closed in (families.flat_frame, families.sphere_frame):
+        stacked = closed(zs, lams)
+        assert stacked.shape == (2, 2, 3, 2, 2)
+        for idx, z in np.ndenumerate(zs):
+            assert np.array_equal(stacked[idx], closed(complex(z), lams))
