@@ -322,8 +322,8 @@ def flow_integrate(
                 dt *= 0.5
         if not status["completed"]:
             break
+        # the last accepted step already ran the monitors on this state
         state = _unpack(y, g)
-        mon = _monitors(state)
         if compute_g:
             mon["G"] = sp.g_invariant(state)[0]
         trajectory.append(DeformationState(state, t, mon))

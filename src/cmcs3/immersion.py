@@ -335,13 +335,17 @@ def numeric_h_q(sample):
     return sample.h_num, sample.q_num
 
 
+def _marked_monodromy(xi, marked, tau):
+    """The monodromy M(tau) at the two marked points, stacked as (2, 2, 2)."""
+    loop, _ = iwasawa.monodromy(xi, tau)
+    return loop.evaluate(np.array([marked.lam0, marked.lam1]))
+
+
 def periodicity_check(xi, marked, tau, tol=1e-6):
     """Check whether tau is a translational period of the immersion."""
     if tau == 0:
         raise PreconditionError("tau must be nonzero")
-    fp = iwasawa.frame(xi, tau)
-    lams = np.array([marked.lam0, marked.lam1])
-    mon = fp.f.evaluate(lams)
+    mon = _marked_monodromy(xi, marked, tau)
     eye = np.eye(2)
     report = {}
     best = None
@@ -360,9 +364,7 @@ def periodicity_check(xi, marked, tau, tol=1e-6):
 
 
 def _period_residual_vec(xi, marked, tau, sign):
-    fp = iwasawa.frame(xi, tau)
-    lams = np.array([marked.lam0, marked.lam1])
-    mon = fp.f.evaluate(lams)
+    mon = _marked_monodromy(xi, marked, tau)
     diff = np.concatenate([(mon[0] - sign * np.eye(2)).ravel(),
                            (mon[1] - sign * np.eye(2)).ravel()])
     return np.concatenate([diff.real, diff.imag])
@@ -469,22 +471,14 @@ def export_mesh(sample, path, stitch_x=False, stitch_y=False, pole=None):
     ny, nx = pts.shape[:2]
     ncols = nx - 1 if stitch_x else nx
     nrows = ny - 1 if stitch_y else ny
-    lines = []
-    for iy in range(nrows):
-        for ix in range(ncols):
-            p = pts[iy, ix]
-            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-
-    def vid(iy, ix):
-        return (iy % nrows) * ncols + (ix % ncols) + 1
-
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            lines.append(
-                "f {} {} {} {}".format(
-                    vid(iy, ix), vid(iy, ix + 1), vid(iy + 1, ix + 1), vid(iy + 1, ix)
-                )
-            )
+    verts = pts[:nrows, :ncols].reshape(nrows * ncols, 3).tolist()
+    # corners (iy, ix), (iy, ix+1), (iy+1, ix+1), (iy+1, ix) of every quad
+    iy, ix = np.mgrid[: ny - 1, : nx - 1].reshape(2, -1)
+    rows = np.stack([iy, iy, iy + 1, iy + 1]) % nrows
+    cols = np.stack([ix, ix + 1, ix + 1, ix]) % ncols
+    faces = (rows * ncols + cols + 1).T.tolist()
+    lines = ["v %.9g %.9g %.9g" % tuple(v) for v in verts]
+    lines += ["f %d %d %d %d" % tuple(f) for f in faces]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

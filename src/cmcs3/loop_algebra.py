@@ -59,13 +59,6 @@ class RealPolynomial:
     def derivative(self):
         return RealPolynomial(npoly.polyder(self.coeffs), self.role)
 
-    def to_json(self):
-        return {"coeffs": [float(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj, role=None):
-        return cls(np.asarray(obj["coeffs"], dtype=float), role)
-
 
 @dataclass(frozen=True)
 class SimpleFactorPoint:

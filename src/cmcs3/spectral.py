@@ -28,6 +28,7 @@ from .errors import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _TWO_PI_I = 2j * np.pi
 
 
@@ -104,22 +105,6 @@ class SpectralData:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """A point on the curve: kappa together with the chosen value of nu."""
-
-    kappa: complex
-    nu: complex
-
-    @property
-    def sheet(self):
-        return 1 if abs(self.nu - _principal(self.nu)) <= abs(self.nu + _principal(self.nu)) else -1
-
-
-def _principal(z):
-    return z
-
-
-@dataclass(frozen=True)
 class BranchEntry:
     kappa: complex
     delta: complex
@@ -145,22 +130,13 @@ class BranchPointReport:
 
 def curve_branch_points(data):
     """Roots of (kappa^2+1)a(kappa) with multiplicities."""
-    return la.find_roots(self_p_coeffs(data))
-
-
-def self_p_coeffs(data):
-    return data.p_coeffs
+    return la.find_roots(data.p_coeffs)
 
 
 def odd_branch_points(data):
     """Odd-multiplicity branch points, sorted by (Re, Im)."""
     pts = [r.value for r in curve_branch_points(data) if r.multiplicity % 2 == 1]
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-
-def nu(data, kappa, sheet=1):
-    """One value of sqrt((kappa^2+1)a(kappa)); sheet flips the principal root."""
-    return sheet * np.sqrt(data.p(kappa))
 
 
 def nu_real_positive(data, kappa):
@@ -172,69 +148,55 @@ def nu_real_positive(data, kappa):
     return np.sqrt(vals)
 
 
-def _track(data, k_from, nu_from, k_to, depth=0):
-    """Continue nu from (k_from, nu_from) to k_to along the straight segment."""
-    val = cmath.sqrt(complex(data.p(complex(k_to))))
-    pick = val if abs(val - nu_from) <= abs(val + nu_from) else -val
-    scale = max(abs(pick), abs(nu_from))
-    if abs(pick - nu_from) <= 0.4 * scale + 1e-300:
+def _track(root, x_from, r_from, x_to, depth=0):
+    """Continue the square root root(x) from (x_from, r_from) to x_to along the
+    straight segment, bisecting until consecutive values stay on one sheet."""
+    val = root(x_to)
+    pick = val if abs(val - r_from) <= abs(val + r_from) else -val
+    scale = max(abs(pick), abs(r_from))
+    if abs(pick - r_from) <= 0.4 * scale + 1e-300:
         return pick
     if depth >= 48:
         raise ConvergenceError("sheet tracking lost (path too close to a branch point)")
-    mid = 0.5 * (k_from + k_to)
-    nu_mid = _track(data, k_from, nu_from, mid, depth + 1)
-    return _track(data, mid, nu_mid, k_to, depth + 1)
-
-
-def continue_nu(data, path, nu_start=None):
-    """Track nu along a polyline of kappa values; returns the CurvePoint list."""
-    path = [complex(p) for p in path]
-    if nu_start is None:
-        nu_start = cmath.sqrt(complex(data.p(path[0])))
-    out = [CurvePoint(path[0], complex(nu_start))]
-    for prev, nxt in zip(path, path[1:]):
-        out.append(CurvePoint(nxt, _track(data, prev, out[-1].nu, nxt)))
-    return out
+    mid = 0.5 * (x_from + x_to)
+    r_mid = _track(root, x_from, r_from, mid, depth + 1)
+    return _track(root, mid, r_mid, x_to, depth + 1)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature of d ln mu with sheet tracking.
 
 
-def _dlnmu_values(data, ks, nus):
-    return _TWO_PI_I * data.b(ks) / ((ks * ks + 1.0) * nus)
+def _panel(root, integrand, a, b, r_a):
+    """GL16 on [a, b] with the root tracked node to node; returns (value, root at b)."""
+    d = b - a
+    xs = a + d * (0.5 * (_GL_NODES + 1.0))
+    rs = np.empty(xs.shape, dtype=complex)
+    ref_x, ref_r = a, r_a
+    for i, x in enumerate(xs):
+        ref_r = _track(root, ref_x, ref_r, x)
+        ref_x = x
+        rs[i] = ref_r
+    r_b = _track(root, ref_x, ref_r, b)
+    return 0.5 * d * np.sum(_GL_WEIGHTS * integrand(xs, rs)), r_b
 
 
-def _panel(data, p, q, nu_p):
-    d = q - p
-    ts = 0.5 * (_GL_NODES + 1.0)
-    ks = p + d * ts
-    nus = np.empty(ks.shape, dtype=complex)
-    ref_k, ref_nu = p, nu_p
-    for i, k in enumerate(ks):
-        ref_nu = _track(data, ref_k, ref_nu, k)
-        ref_k = k
-        nus[i] = ref_nu
-    nu_q = _track(data, ref_k, ref_nu, q)
-    val = 0.5 * d * np.sum(_GL_WEIGHTS * _dlnmu_values(data, ks, nus))
-    return val, nu_q
-
-
-def _adaptive_segment(data, p, q, nu_p, tol, depth=0):
-    whole, _ = _panel(data, p, q, nu_p)
-    mid = 0.5 * (p + q)
-    left, nu_m = _panel(data, p, mid, nu_p)
-    right, nu_q = _panel(data, mid, q, nu_m)
+def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
+    """Adaptive bisection of _panel on [a, b]; returns (value, root at b)."""
+    whole, _ = _panel(root, integrand, a, b, r_a)
+    mid = 0.5 * (a + b)
+    left, r_m = _panel(root, integrand, a, mid, r_a)
+    right, r_b = _panel(root, integrand, mid, b, r_m)
     err = abs(left + right - whole)
     if err < max(tol, 1e-15 * (abs(left) + abs(right))):
-        return left + right, nu_q
+        return left + right, r_b
     if depth >= 26:
         raise ConvergenceError(
             f"quadrature stalled with error estimate {err:.3e}", residual=float(err)
         )
-    lv, nu_m = _adaptive_segment(data, p, mid, nu_p, 0.5 * tol, depth + 1)
-    rv, nu_q = _adaptive_segment(data, mid, q, nu_m, 0.5 * tol, depth + 1)
-    return lv + rv, nu_q
+    lv, r_m = _adaptive(root, integrand, a, mid, r_a, 0.5 * tol, depth + 1)
+    rv, r_b = _adaptive(root, integrand, mid, b, r_m, 0.5 * tol, depth + 1)
+    return lv + rv, r_b
 
 
 def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
@@ -247,13 +209,20 @@ def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
     if len(path) < 2:
         raise PreconditionError("path needs at least two points")
     _guard_path(data, path)
+
+    def nu(k):
+        return cmath.sqrt(complex(data.p(complex(k))))
+
+    def dlnmu(ks, nus):
+        return _TWO_PI_I * data.b(ks) / ((ks * ks + 1.0) * nus)
+
     if nu_start is None:
-        nu_start = cmath.sqrt(complex(data.p(path[0])))
+        nu_start = nu(path[0])
     total = 0.0 + 0.0j
     nu_cur = complex(nu_start)
     seg_tol = tol / max(len(path) - 1, 1)
     for p, q in zip(path, path[1:]):
-        val, nu_cur = _adaptive_segment(data, p, q, nu_cur, seg_tol)
+        val, nu_cur = _adaptive(nu, dlnmu, p, q, nu_cur, seg_tol)
         total += val
     return total, nu_cur
 
@@ -369,70 +338,27 @@ def _base_point(data):
     return sorted(odd, key=lambda z: (abs(z), round(z.real, 12), round(z.imag, 12)))[0]
 
 
-def _phi_on_leg(data, base, d, s):
-    """phi(s) = nu(base + s^2 d)/s, extended smoothly to s = 0 (principal sign)."""
-    if s == 0.0:
-        dp = npoly.polyval(base, npoly.polyder(self_p_coeffs(data)))
-        return cmath.sqrt(dp * d)
-    return cmath.sqrt(complex(data.p(base + s * s * d))) / s
-
-
-def _track_phi(data, base, d, s_from, phi_from, s_to, depth=0):
-    val = _phi_on_leg(data, base, d, s_to)
-    pick = val if abs(val - phi_from) <= abs(val + phi_from) else -val
-    scale = max(abs(pick), abs(phi_from))
-    if abs(pick - phi_from) <= 0.4 * scale + 1e-300:
-        return pick
-    if depth >= 48:
-        raise ConvergenceError("sheet tracking lost on the branch-point leg")
-    mid = 0.5 * (s_from + s_to)
-    phi_mid = _track_phi(data, base, d, s_from, phi_from, mid, depth + 1)
-    return _track_phi(data, base, d, mid, phi_mid, s_to, depth + 1)
-
-
-def _leg_panel(data, base, d, s0, s1, phi0):
-    ts = s0 + (s1 - s0) * 0.5 * (_GL_NODES + 1.0)
-    phis = np.empty(ts.shape, dtype=complex)
-    ref_s, ref_phi = s0, phi0
-    for i, s in enumerate(ts):
-        ref_phi = _track_phi(data, base, d, ref_s, ref_phi, s)
-        ref_s = s
-        phis[i] = ref_phi
-    phi1 = _track_phi(data, base, d, ref_s, ref_phi, s1)
-    ks = base + ts * ts * d
-    vals = 2.0 * _TWO_PI_I * d * data.b(ks) / ((ks * ks + 1.0) * phis)
-    return 0.5 * (s1 - s0) * np.sum(_GL_WEIGHTS * vals), phi1
-
-
-def _leg_adaptive(data, base, d, s0, s1, phi0, tol, depth=0):
-    whole, _ = _leg_panel(data, base, d, s0, s1, phi0)
-    mid = 0.5 * (s0 + s1)
-    left, phi_m = _leg_panel(data, base, d, s0, mid, phi0)
-    right, phi1 = _leg_panel(data, base, d, mid, s1, phi_m)
-    err = abs(left + right - whole)
-    if err < max(tol, 1e-15 * (abs(left) + abs(right))):
-        return left + right, phi1
-    if depth >= 26:
-        raise ConvergenceError(
-            f"branch-leg quadrature stalled at {err:.3e}", residual=float(err)
-        )
-    lv, phi_m = _leg_adaptive(data, base, d, s0, mid, phi0, 0.5 * tol, depth + 1)
-    rv, phi1 = _leg_adaptive(data, base, d, mid, s1, phi_m, 0.5 * tol, depth + 1)
-    return lv + rv, phi1
-
-
 def _integrate_base_leg(data, base, waypoint, tol):
     """ln mu increment from the base branch point to a nearby waypoint.
 
-    Uses kappa = base + s^2 (waypoint - base), which removes the square-root
-    singularity: the integrand in s is analytic through s = 0.  The sheet is
-    seeded with the principal root near the base; the overall sign of ln mu is
-    fixed downstream (the base value is 0 on both sheets).
+    Uses kappa = base + s^2 d, d = waypoint - base, which removes the
+    square-root singularity: phi(s) = nu(kappa)/s is analytic through s = 0,
+    and d ln mu = 2 pi i b 2d ds/((kappa^2+1) phi).  The sheet is seeded with
+    the principal root phi(0) = sqrt(p'(base) d); the overall sign of ln mu is
+    fixed downstream (the base value is 0 on both sheets).  Returns the
+    increment and phi(1) = nu(waypoint).
     """
     d = waypoint - base
-    phi0 = _phi_on_leg(data, base, d, 0.0)
-    val, phi1 = _leg_adaptive(data, base, d, 0.0, 1.0, phi0, tol)
-    return val, phi1  # phi(1) = nu(waypoint)
+
+    def phi(s):
+        return cmath.sqrt(complex(data.p(base + s * s * d))) / s
+
+    def dlnmu(ss, phis):
+        ks = base + ss * ss * d
+        return 2.0 * _TWO_PI_I * d * data.b(ks) / ((ks * ks + 1.0) * phis)
+
+    phi0 = cmath.sqrt(npoly.polyval(base, npoly.polyder(data.p_coeffs)) * d)
+    return _adaptive(phi, dlnmu, 0.0, 1.0, phi0, tol)
 
 
 def lnmu_at(data, kappa, tol=1e-10, positive_real_branch=True):
@@ -481,15 +407,19 @@ def _dist_to_2pii(z):
     return abs(z - _TWO_PI_I * k)
 
 
-def _circle_integral(data, center, radius, turns=1, tol=1e-10, nodes=24):
-    """Integral around a circle (turns > 1 for loops closing through both sheets)."""
-    angles = np.linspace(0.0, 2.0 * math.pi * turns, nodes * turns + 1)
-    path = [center + radius * cmath.exp(1j * t) for t in angles]
-    nu0 = cmath.sqrt(complex(data.p(path[0])))
-    val, nu_end = integrate_dlnmu(data, path, nu_start=nu0, tol=tol)
+def _loop_integral(data, loop, tol):
+    """Integral of d ln mu around a closed polyline that must close on the curve."""
+    nu0 = cmath.sqrt(complex(data.p(loop[0])))
+    val, nu_end = integrate_dlnmu(data, loop, nu_start=nu0, tol=tol)
     if abs(nu_end - nu0) > 1e-5 * max(abs(nu0), 1.0):
         raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
     return val
+
+
+def _circle(center, radius, turns):
+    """24-gon per turn around a circle (turns = 2 for loops closing through both sheets)."""
+    angles = np.linspace(0.0, 2.0 * math.pi * turns, 24 * turns + 1)
+    return [center + radius * cmath.exp(1j * t) for t in angles]
 
 
 def homology_cycles(data):
@@ -538,22 +468,16 @@ def period_integrals(data, tol=1e-10):
     of a (node residues), and double loops around +-i (the second-order poles
     of d ln mu must be residue-free).
     """
-    periods = []
-    for cyc in homology_cycles(data):
-        nu0 = cmath.sqrt(complex(data.p(cyc[0])))
-        val, nu_end = integrate_dlnmu(data, cyc, nu_start=nu0, tol=tol)
-        if abs(nu_end - nu0) > 1e-5 * max(abs(nu0), 1.0):
-            raise InconsistencyError("homology cycle failed to close on the curve")
-        periods.append(val)
+    loops = homology_cycles(data)
     all_pts = [r.value for r in curve_branch_points(data)]
     for root in la.find_roots(data.a):
         if root.multiplicity % 2 == 0:
             rad = 0.3 * min(max(_local_gap(all_pts, root.value), 2e-3), 1.0)
-            periods.append(_circle_integral(data, root.value, rad, turns=1, tol=tol))
+            loops.append(_circle(root.value, rad, 1))
     for pole in (1j, -1j):
         rad = 0.3 * min(max(_local_gap(all_pts, pole), 2e-3), 1.0)
-        periods.append(_circle_integral(data, pole, rad, turns=2, tol=tol))
-    return periods
+        loops.append(_circle(pole, rad, 2))
+    return [_loop_integral(data, loop, tol) for loop in loops]
 
 
 def _canonical_lnmu(z):
@@ -629,27 +553,24 @@ def involution_residual(data, kappas):
 # Real branch diagnostics of the covering map Delta.
 
 
-def _theta_scan(data, lo, hi, n):
-    """Im ln mu on the positive real branch over a grid (vectorized GL7 sums)."""
-    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
-    grid = np.linspace(lo, hi, n)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    halfs = 0.5 * (grid[1:] - grid[:-1])
-    ks = mids[:, None] + halfs[:, None] * nodes7[None, :]
+def _theta_increments(data, lo, hi):
+    """Im ln mu gained from lo to hi on the positive real branch (one GL7 sum
+    per pair, vectorized over arrays of endpoints)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    halfs = 0.5 * (hi - lo)
+    ks = (0.5 * (lo + hi))[..., None] + halfs[..., None] * _GL7_NODES
     nus = nu_real_positive(data, ks)
-    integrand = 2.0 * math.pi * data.b(ks) / ((ks * ks + 1.0) * nus)
-    increments = halfs * np.sum(weights7 * integrand, axis=1)
+    vals = 2.0 * math.pi * data.b(ks) / ((ks * ks + 1.0) * nus)
+    return halfs * np.sum(_GL7_WEIGHTS * vals, axis=-1)
+
+
+def _theta_scan(data, lo, hi, n):
+    """Im ln mu on the positive real branch over a grid."""
+    grid = np.linspace(lo, hi, n)
+    increments = _theta_increments(data, grid[:-1], grid[1:])
     theta0 = lnmu_at(data, lo)[0].imag
     theta = np.concatenate([[theta0], theta0 + np.cumsum(increments)])
     return grid, theta
-
-
-def _theta_increment(data, lo, hi):
-    nodes7, weights7 = np.polynomial.legendre.leggauss(7)
-    ks = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes7
-    nus = nu_real_positive(data, ks)
-    vals = 2.0 * math.pi * data.b(ks) / ((ks * ks + 1.0) * nus)
-    return 0.5 * (hi - lo) * np.sum(weights7 * vals)
 
 
 def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
@@ -659,7 +580,7 @@ def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
         if k_hi - k_lo < 1e-13 * max(1.0, abs(k_lo)):
             break
         mid = 0.5 * (k_lo + k_hi)
-        th_mid = th_lo + _theta_increment(data, k_lo, mid)
+        th_mid = th_lo + _theta_increments(data, k_lo, mid)
         f_mid = th_mid - math.pi * level
         if f_lo * f_mid <= 0:
             k_hi = mid
@@ -782,11 +703,11 @@ def g_invariant(data, window=None, tol=1e-8):
         # widen until the phase has flattened out (no crossings can hide
         # beyond the window: theta tends to a finite limit at +-infinity)
         for _ in range(6):
-            tail = abs(_theta_increment(data, window[1], 2.0 * window[1]))
-            tail = max(tail, abs(_theta_increment(data, 2.0 * window[0], window[0])))
-            if tail < 1e-6:
+            w0, w1 = window
+            tails = _theta_increments(data, [w1, 2.0 * w0], [2.0 * w1, w0])
+            if np.max(np.abs(tails)) < 1e-6:
                 break
-            window = (2.0 * window[0], 2.0 * window[1])
+            window = (2.0 * w0, 2.0 * w1)
     report = real_branch_points(data, window=window, tol=tol)
     doubles = [e for e in report if e.kind in ("double_point", "both")]
     g_val = nonreal_curve_points // 2 + len(doubles) - 1

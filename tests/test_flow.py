@@ -136,6 +136,28 @@ def test_flow_preserves_conditions(revolution_quarter):
     assert np.max(np.abs(final.data.a.coeffs - revolution_quarter.a.coeffs)) > 1e-6
 
 
+def test_flow_reuses_step_monitors(revolution_quarter, monkeypatch):
+    # each sample target keeps the monitors its last accepted step computed
+    c = flow.build_c_branch_target(revolution_quarter, 0)
+    c_small = la.RealPolynomial(0.1 / np.max(np.abs(c.coeffs)) * c.coeffs)
+    monitors = flow._monitors
+    seen = []
+
+    def counting(data, *args, **kwargs):
+        seen.append(flow._pack(data))
+        return monitors(data, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_monitors", counting)
+    traj, status = flow.flow_integrate(
+        revolution_quarter, lambda d: c_small, 0.01, dt0=5e-3, sample_times=[0.005]
+    )
+    assert status["completed"] and len(traj) == 3
+    assert len(seen) >= 3
+    assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
+    for row in traj:
+        assert row.monitors == monitors(row.data)
+
+
 def test_flow_rejects_nonpositive_time(revolution_quarter):
     with pytest.raises(PreconditionError):
         flow.flow_integrate(revolution_quarter, lambda d: _poly(0.0), 0.0)

@@ -334,3 +334,40 @@ def test_write_surface_csv_bytes_match_reference(minimal_marked, tmp_path):
     im.write_surface_csv(s, path)
     with open(path, "rb") as fh:
         assert fh.read() == _reference_csv(s)
+
+
+def _reference_obj(sample, stitch_x, stitch_y):
+    """The per-vertex, per-face OBJ writer the vectorized export replaced."""
+    pts = im.stereographic(sample)
+    ny, nx = pts.shape[:2]
+    ncols = nx - 1 if stitch_x else nx
+    nrows = ny - 1 if stitch_y else ny
+    lines = []
+    for iy in range(nrows):
+        for ix in range(ncols):
+            p = pts[iy, ix]
+            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+
+    def vid(iy, ix):
+        return (iy % nrows) * ncols + (ix % ncols) + 1
+
+    for iy in range(ny - 1):
+        for ix in range(nx - 1):
+            lines.append(
+                "f {} {} {} {}".format(
+                    vid(iy, ix), vid(iy, ix + 1), vid(iy + 1, ix + 1), vid(iy + 1, ix)
+                )
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "stitch_x, stitch_y", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_export_mesh_bytes_match_reference(minimal_marked, tmp_path, stitch_x, stitch_y):
+    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
+    s = im.sample_surface(fn, minimal_marked, (0.37, 4.812882938, 0.21, 4.652882938), 13, 13)
+    path = str(tmp_path / "mesh.obj")
+    im.export_mesh(s, path, stitch_x=stitch_x, stitch_y=stitch_y)
+    with open(path, "rb") as fh:
+        assert fh.read() == _reference_obj(s, stitch_x, stitch_y)

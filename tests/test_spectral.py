@@ -191,3 +191,80 @@ def test_safe_path_endpoints(revolution_quarter):
     for seg_start, seg_end in zip(path[:-1], path[1:]):
         for o in branch:
             assert sp._segment_distance(seg_start, seg_end, o) > 1e-3
+
+
+def _rotational_delta(kappa, alpha, b2):
+    return 2.0 * cmath.cos(2.0 * math.pi * b2 * cmath.sqrt((kappa**2 + alpha) / (kappa**2 + 1.0)))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.23])
+def test_delta_rotational_closed_form_on_leg_and_polyline(monkeypatch, phi):
+    # Delta = 2 cos(2 pi b2 sqrt((k^2+alpha)/(k^2+1))) for the rotational data;
+    # the Moebius-moved copy carries it over in the transported coordinate
+    h, alpha = 0.5, 0.3
+    data, b2 = families.revolution_family(families.RevolutionParams(h, alpha))
+    if phi:
+        data = sp.mobius_transform_data(data, phi)
+    c, s = math.cos(phi), math.sin(phi)
+    base = sp._base_point(data)
+    gap = sp._local_gap([r.value for r in sp.curve_branch_points(data)], base)
+    polylines = []
+    integrate = sp.integrate_dlnmu
+
+    def counting(*args, **kwargs):
+        polylines.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "integrate_dlnmu", counting)
+    for kappa, on_leg in [
+        (base + 0.3 * gap * cmath.exp(0.7j), True),
+        (base - 0.2 * gap * cmath.exp(-0.4j), True),
+        (1.3 - 0.4j, False),
+        (-2.1 + 0.6j, False),
+        (0.8, False),
+    ]:
+        polylines.clear()
+        got = sp.delta(data, kappa)
+        assert (not polylines) == on_leg
+        original = (c * kappa + s) / (c - s * kappa)
+        assert abs(got - _rotational_delta(original, alpha, b2)) < 1e-9
+
+
+# ln mu and the periods of a genus-2 curve with no closed form, recorded with
+# repr before the segment and base-leg integrators were merged into one.
+_G2_A = [0.4625000000000001, -0.40000000000000013, 2.1000000000000005, -1.6, 1.0]
+_G2_LNMU = [
+    (0.1 - 0.45j, -0.9183904592423753 + 0.23395041650984122j,
+     0.35172676845283557 - 0.13139700442275912j),
+    (0.3 + 0.2j, -2.652247489073514 + 0.4391069854191491j,
+     0.688814443873883 + 0.12334236129281227j),
+    (1.7, -2.2038824859890136 + 2.211763872635082j, 4.967241890627031 + 0j),
+    (-2.4 + 0.9j, -2.2707919957448097 - 2.7873950408593244j,
+     15.076591428213487 - 19.342120491127144j),
+]
+_G2_PERIODS = [
+    -8.815529943956324 - 3.3306690738754696e-16j,
+    8.418576875891164 + 3.885780586188048e-16j,
+    -8.881784197001252e-16 - 4.996003610813204e-16j,
+    -2.220446049250313e-16 - 5.551115123125783e-16j,
+]
+
+
+def test_genus2_lnmu_and_periods_pinned():
+    data = sp.SpectralData(
+        la.RealPolynomial(np.array(_G2_A)),
+        la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
+        1.7,
+        -0.6,
+    )
+    assert abs(sp._base_point(data) + 0.5j) < 1e-12  # 0.1 - 0.45j lies on the base leg
+
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * max(abs(want), 1.0)
+
+    for kappa, lnmu, nu in _G2_LNMU:
+        got_lnmu, got_nu = sp.lnmu_at(data, kappa)
+        assert close(got_lnmu, lnmu) and close(got_nu, nu)
+    periods = sp.period_integrals(data)
+    assert len(periods) == len(_G2_PERIODS)
+    assert all(close(p, q) for p, q in zip(periods, _G2_PERIODS))
