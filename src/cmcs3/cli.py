@@ -112,10 +112,12 @@ def _surface_setup(args):
     fam = args.family
     if args.xi:
         obj = _load_json(args.xi)
-        try:
-            xi = la.LaurentMatrix.from_json(obj)
-        except (KeyError, TypeError, IndexError) as exc:
+        try:  # shape and finiteness first (exit 3), then the xi checks (exit 1)
+            xi = la.LaurentMatrix.from_json(obj, validate=False)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise _SchemaError(f"bad xi file {args.xi}: {exc}")
+        try:
+            xi = la.LaurentMatrix(xi.g, xi.coeffs)
         except CMCError as exc:
             raise _CheckFailed(f"loop_algebra: xi validation failed: {exc}")
         marked = immersion.MarkedPoints.from_kappa(args.kappa0, args.kappa1)
@@ -208,6 +210,13 @@ def cmd_surface(args):
 # check
 
 
+def _branch_json(branch):
+    return [
+        {"kappa": e.kappa.real, "delta": complex(e.delta).real, "order": e.order, "kind": e.kind}
+        for e in branch
+    ]
+
+
 def cmd_check(args):
     data = _load_spectral_data(args)
     report = sp.check_conditions(data, tol=args.tol)
@@ -218,15 +227,7 @@ def cmd_check(args):
         "B": report["B"],
         "C": report["C"],
         "residuals": report["residuals"],
-        "branch_points": [
-            {
-                "kappa": e.kappa.real,
-                "delta": complex(e.delta).real,
-                "order": e.order,
-                "kind": e.kind,
-            }
-            for e in branch
-        ],
+        "branch_points": _branch_json(branch),
         "G": g_val,
         "G_details": g_details,
     }
@@ -251,17 +252,17 @@ def _c_supplier_from_args(args, data):
         idx = args.target_branch
         return lambda d: flow.build_c_branch_target(d, idx)
     if args.c == "zero":
-        zero = la.RealPolynomial(np.zeros(1), role="c")
+        zero = la.RealPolynomial(np.zeros(1))
         return lambda d: zero
     if args.c == "mobius":
-        return lambda d: la.RealPolynomial(d.b.coeffs.copy(), role="c")
+        return lambda d: la.RealPolynomial(d.b.coeffs.copy())
     try:
         coeffs = np.array([float(x) for x in args.c.split(",")])
     except ValueError:
         raise _SchemaError(f"--c must be zero, mobius, or comma-separated coefficients; got {args.c!r}")
     if len(coeffs) > data.g + 2:
         raise _SchemaError(f"c has degree > g+1 = {data.g + 1}")
-    c = la.RealPolynomial(coeffs, role="c")
+    c = la.RealPolynomial(coeffs)
     return lambda d: c
 
 
@@ -329,15 +330,7 @@ def cmd_delta(args):
             {
                 "window": [lo, hi],
                 "condition_F": all_in_range,
-                "branch_points": [
-                    {
-                        "kappa": e.kappa.real,
-                        "delta": complex(e.delta).real,
-                        "order": e.order,
-                        "kind": e.kind,
-                    }
-                    for e in branch
-                ],
+                "branch_points": _branch_json(branch),
             },
         )
     print(

@@ -305,8 +305,8 @@ def revolution_family(params):
     h, alpha = params.H, params.alpha
     kappa0 = h + math.sqrt(h * h + 1.0)
     b2 = math.sqrt((kappa0 * kappa0 + 1.0) / (4.0 * (kappa0 * kappa0 + alpha)))
-    a = la.RealPolynomial(np.array([alpha, 0.0, 1.0]), role="a")
-    b = la.RealPolynomial(np.array([0.0, b2 * (1.0 - alpha)]), role="b")
+    a = la.RealPolynomial(np.array([alpha, 0.0, 1.0]))
+    b = la.RealPolynomial(np.array([0.0, b2 * (1.0 - alpha)]))
     return SpectralData(a=a, b=b, kappa0=kappa0, kappa1=-kappa0), b2
 
 
@@ -331,6 +331,6 @@ def genus0_closing(kappa0, b0, b1):
 
 def clifford_spectral_data():
     """Genus-zero data of the Clifford torus: a = 1, b = 1/sqrt(2)."""
-    a = la.RealPolynomial(np.array([1.0]), role="a")
-    b = la.RealPolynomial(np.array([1.0 / math.sqrt(2.0)]), role="b")
+    a = la.RealPolynomial(np.array([1.0]))
+    b = la.RealPolynomial(np.array([1.0 / math.sqrt(2.0)]))
     return SpectralData(a=a, b=b, kappa0=1.0, kappa1=-1.0)

@@ -126,12 +126,9 @@ def delta_dot(data, c, kappa):
 
 def b_root_basis(data):
     """Simple roots of b sorted by (Re, Im); the branch targets of the flow."""
-    if data.b.degree < 1:
-        return []
-    roots = la.find_roots(data.b)
-    if any(r.multiplicity > 1 for r in roots):
+    if any(r.multiplicity > 1 for r in data.b_roots):
         raise PreconditionError("b has a multiple root; branch-target flows undefined")
-    return sorted(roots, key=lambda r: (round(r.value.real, 12), round(r.value.imag, 12)))
+    return sorted(data.b_roots, key=lambda r: (round(r.value.real, 12), round(r.value.imag, 12)))
 
 
 def build_c_branch_target(data, i):
@@ -149,7 +146,7 @@ def build_c_branch_target(data, i):
     if abs(beta.imag) > 1e-10:
         raise DomainError("targeted root of b is not real; real flows need a real target")
     beta = beta.real
-    a_root_vals = [r.value for r in la.find_roots(data.a)] if data.a.degree > 0 else []
+    a_root_vals = [r.value for r in data.a_roots]
     for r in roots:
         if any(abs(r.value - v) < 1e-8 for v in a_root_vals):
             raise PreconditionError("a root of b coincides with a root of a")
@@ -170,7 +167,7 @@ def build_c_branch_target(data, i):
     coeffs = const * prod
     if np.max(np.abs(coeffs.imag)) > 1e-8 * max(np.max(np.abs(coeffs)), 1e-300):
         raise PreconditionError("branch-target construction produced a non-real c")
-    c = la.RealPolynomial(coeffs.real, role="c")
+    c = la.RealPolynomial(coeffs.real)
     if c.degree > data.g + 1:
         raise PreconditionError("constructed c exceeds the allowed degree")
     return c
@@ -208,19 +205,8 @@ def _unpack(y, g):
     return sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(b), y[-2], y[-1])
 
 
-def _monitors(data, cycles_tol=1e-9):
-    lnmu0, _ = sp.lnmu_at(data, data.kappa0)
-    lnmu1, _ = sp.lnmu_at(data, data.kappa1)
-    periods = sp.period_integrals(data, tol=cycles_tol)
-    res_b = max((sp._dist_to_2pii(p) for p in periods), default=0.0)
-    return {
-        "lnmu0": lnmu0,
-        "lnmu1": lnmu1,
-        "periods": periods,
-        "res_C0": abs(cmath.exp(2.0 * lnmu0) - 1.0),
-        "res_C1": abs(cmath.exp(2.0 * lnmu1) - 1.0),
-        "res_B": float(res_b),
-    }
+def _monitors(data):
+    return sp.closing_residuals(data, 1e-9)
 
 
 def flow_integrate(
@@ -231,7 +217,6 @@ def flow_integrate(
     rtol=1e-8,
     monitor_tol=1e-6,
     sample_times=None,
-    compute_g=False,
 ):
     """Integrate the deformation, monitoring the closing conditions.
 
@@ -262,8 +247,6 @@ def flow_integrate(
     y = _pack(data)
     t = 0.0
     mon = _monitors(data)
-    if compute_g:
-        mon["G"] = sp.g_invariant(data)[0]
     trajectory = [DeformationState(data, 0.0, mon)]
     status = {"completed": True, "reason": "", "t_reached": 0.0}
     dt = dt0
@@ -323,10 +306,7 @@ def flow_integrate(
         if not status["completed"]:
             break
         # the last accepted step already ran the monitors on this state
-        state = _unpack(y, g)
-        if compute_g:
-            mon["G"] = sp.g_invariant(state)[0]
-        trajectory.append(DeformationState(state, t, mon))
+        trajectory.append(DeformationState(_unpack(y, g), t, mon))
         status["t_reached"] = t
     return trajectory, status
 

@@ -33,7 +33,7 @@ class MarkedPoints:
     def __post_init__(self):
         l0, l1 = complex(self.lam0), complex(self.lam1)
         for lam in (l0, l1):
-            if abs(abs(lam) - 1.0) > 1e-12:
+            if not abs(abs(lam) - 1.0) <= 1e-12:  # NaN fails too
                 raise PreconditionError(f"marked point {lam} is not unimodular")
         if abs(l0 - l1) < 1e-12:
             raise DomainError("marked points coincide (mean curvature blows up)")

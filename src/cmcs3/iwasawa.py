@@ -20,7 +20,7 @@ entrywise over the stack and the Cholesky sections are factorized in one
 batched call.  A single loop is a stack with no leading axis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class FourierLoop:
 
     n: int
     coeffs: np.ndarray
-    loop_class: str = field(default="general", compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -140,18 +139,16 @@ class FourierLoop:
         scale = np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
         keep = np.nonzero(np.any(norms > tol * scale, axis=0))[0]
         if keep.size == 0:
-            return FourierLoop(
-                0, np.zeros(self.coeffs.shape[:-3] + (1, 2, 2), complex), self.loop_class
-            )
+            return FourierLoop(0, np.zeros(self.coeffs.shape[:-3] + (1, 2, 2), complex))
         half = max(abs(int(keep[0]) - self.n), abs(int(keep[-1]) - self.n))
         lo, hi = self.n - half, self.n + half
-        return FourierLoop(half, self.coeffs[..., lo: hi + 1, :, :], self.loop_class)
+        return FourierLoop(half, self.coeffs[..., lo: hi + 1, :, :])
 
 
 def identity_loop():
     c = np.zeros((1, 2, 2), dtype=complex)
     c[0] = _I2
-    return FourierLoop(0, c, "unitary")
+    return FourierLoop(0, c)
 
 
 def coeffs_from_samples(samples):
@@ -165,7 +162,7 @@ def coeffs_from_samples(samples):
     return ks, raw[..., ks % m, :, :]
 
 
-def loop_from_samples(samples, tail_tol, loop_class="general"):
+def loop_from_samples(samples, tail_tol):
     """Build a FourierLoop (or a stack) from circle samples, or None if a tail is fat.
 
     Each loop's modes are judged against its own largest mode; a stack keeps
@@ -182,7 +179,7 @@ def loop_from_samples(samples, tail_tol, loop_class="general"):
     mask = np.abs(ks) <= half
     out = np.zeros(samples.shape[:-3] + (2 * half + 1, 2, 2), dtype=complex)
     out[..., ks[mask] + half, :, :] = cs[..., mask, :, :]
-    return FourierLoop(half, out, loop_class)
+    return FourierLoop(half, out)
 
 
 def exp_loop(xi, z, tail_tol=1e-12, max_samples=4096):
@@ -335,7 +332,7 @@ def iwasawa_factor(phi, tol=1e-9, tail_tol=1e-12, max_samples=8192):
             raise ConvergenceError(
                 f"unitarity defect {worst:.3e} above tolerance {tol}", residual=worst
             )
-        f_loop = loop_from_samples(f_s, tail_tol, "unitary")
+        f_loop = loop_from_samples(f_s, tail_tol)
         if f_loop is None:
             if m >= max_samples:
                 raise ConvergenceError("unitary factor tail not resolved", residual=None)
@@ -343,7 +340,7 @@ def iwasawa_factor(phi, tol=1e-9, tail_tol=1e-12, max_samples=8192):
             continue
         b_centered = np.zeros(b_coeffs.shape[:-3] + (2 * band + 1, 2, 2), dtype=complex)
         b_centered[..., band:, :, :] = b_coeffs
-        b_loop = FourierLoop(band, b_centered, "plus").trimmed(tail_tol)
+        b_loop = FourierLoop(band, b_centered).trimmed(tail_tol)
         recon_err = mul2(f_loop.samples(m), b_loop.samples(m)) - phi_s
         recon = _per_loop_max(recon_err) / np.maximum(_per_loop_max(phi.coeffs), 1e-300)
         return f_loop, b_loop, defect, recon

@@ -30,10 +30,9 @@ _CLASS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Real polynomial with ascending coefficients and an optional role tag."""
+    """Real polynomial with ascending coefficients."""
 
     coeffs: np.ndarray
-    role: str | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
@@ -50,14 +49,14 @@ class RealPolynomial:
         c[np.abs(c) < rel_tol * scale] = 0.0
         nz = np.nonzero(c)[0]
         if nz.size == 0:
-            return RealPolynomial(np.zeros(1), self.role)
-        return RealPolynomial(c[: nz[-1] + 1], self.role)
+            return RealPolynomial(np.zeros(1))
+        return RealPolynomial(c[: nz[-1] + 1])
 
     def __call__(self, x):
         return npoly.polyval(x, self.coeffs)
 
     def derivative(self):
-        return RealPolynomial(npoly.polyder(self.coeffs), self.role)
+        return RealPolynomial(npoly.polyder(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class LaurentMatrix:
             raise PreconditionError(
                 f"expected {self.g + 2} coefficient matrices, got shape {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise PreconditionError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         if self.validate:
             scale = max(np.max(np.abs(c)), 1.0)
@@ -223,7 +224,7 @@ def normalize_kappa_form(raw, tol=1e-8):
     raw = np.asarray(raw, dtype=complex)
     scale = np.max(np.abs(raw))
     if scale == 0:
-        return RealPolynomial(np.zeros(1), role="a")
+        return RealPolynomial(np.zeros(1))
     phase = raw[np.argmax(np.abs(raw))]
     phase /= abs(phase)
     rotated = raw / phase
@@ -239,7 +240,7 @@ def normalize_kappa_form(raw, tol=1e-8):
     if samples[np.argmax(np.abs(samples))] < 0:
         c = -c
     lead = c[-1]
-    return RealPolynomial(c / lead if lead != 0 else c, role="a")
+    return RealPolynomial(c / lead if lead != 0 else c)
 
 
 def det_polynomial(xi, tol=1e-8):

@@ -14,7 +14,8 @@ double points.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -37,7 +38,8 @@ class SpectralData:
     """Polynomials (a, b) and the two real marked points.
 
     a is stored monic (the overall scale of a is a gauge: rescaling a by s and
-    b by sqrt(s) leaves d ln mu unchanged).
+    b by sqrt(s) leaves d ln mu unchanged).  The coefficient arrays are
+    read-only, so the facts about the curve below are worked out once.
     """
 
     a: la.RealPolynomial
@@ -48,6 +50,8 @@ class SpectralData:
     def __post_init__(self):
         a = self.a if isinstance(self.a, la.RealPolynomial) else la.RealPolynomial(self.a)
         b = self.b if isinstance(self.b, la.RealPolynomial) else la.RealPolynomial(self.b)
+        if not all(np.all(np.isfinite(x)) for x in (a.coeffs, b.coeffs, self.kappa0, self.kappa1)):
+            raise PreconditionError("spectral data must be finite")
         a = a.trimmed()
         b = b.trimmed()
         if a.degree < 0:
@@ -57,13 +61,15 @@ class SpectralData:
         lead = a.coeffs[a.degree]
         if lead <= 0:
             raise PreconditionError("a must have a positive leading coefficient")
-        a = la.RealPolynomial(a.coeffs / lead, role="a")
-        b = la.RealPolynomial(b.coeffs / math.sqrt(lead), role="b")
+        a = la.RealPolynomial(a.coeffs / lead)
+        b = la.RealPolynomial(b.coeffs / math.sqrt(lead))
         g = a.degree // 2
         if b.degree > g + 1:
             raise PreconditionError(f"deg b = {b.degree} exceeds g+1 = {g + 1}")
         if abs(self.kappa0 - self.kappa1) < 1e-12:
             raise PreconditionError("marked points coincide")
+        a.coeffs.setflags(write=False)
+        b.coeffs.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "kappa0", float(self.kappa0))
@@ -85,6 +91,29 @@ class SpectralData:
     @property
     def p_coeffs(self):
         return npoly.polymul(np.array([1.0, 0.0, 1.0]), self.a.coeffs)
+
+    @cached_property
+    def a_roots(self):
+        return tuple(la.find_roots(self.a))
+
+    @cached_property
+    def b_roots(self):
+        return tuple(la.find_roots(self.b)) if self.b.degree >= 1 else ()
+
+    @cached_property
+    def branch_points(self):
+        """Roots of (kappa^2+1)a(kappa) with multiplicities."""
+        return tuple(la.find_roots(self.p_coeffs))
+
+    @cached_property
+    def obstacles(self):
+        """The branch point values, which integration paths keep away from."""
+        return tuple(r.value for r in self.branch_points)
+
+    @cached_property
+    def closed_form(self):
+        """(r, q) of the closed form of ln mu (see _closed_form), or None."""
+        return _closed_form(self)
 
     def to_json(self):
         return {
@@ -109,33 +138,16 @@ class BranchEntry:
     kappa: complex
     delta: complex
     order: int
-    is_real: bool
     kind: str  # "double_point", "b_root", or "both"
-
-
-@dataclass
-class BranchPointReport:
-    entries: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
 # Branch points and sheet tracking.
 
 
-def curve_branch_points(data):
-    """Roots of (kappa^2+1)a(kappa) with multiplicities."""
-    return la.find_roots(data.p_coeffs)
-
-
 def odd_branch_points(data):
     """Odd-multiplicity branch points, sorted by (Re, Im)."""
-    pts = [r.value for r in curve_branch_points(data) if r.multiplicity % 2 == 1]
+    pts = [r.value for r in data.branch_points if r.multiplicity % 2 == 1]
     return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
@@ -233,7 +245,7 @@ def _local_gap(obstacles, o):
 
 
 def _guard_path(data, path):
-    obstacles = [r.value for r in curve_branch_points(data)]
+    obstacles = data.obstacles
     for p, q in zip(path, path[1:]):
         for o in obstacles:
             offset = 1e-3 * min(_local_gap(obstacles, o), 1.0)
@@ -255,7 +267,7 @@ def _segment_distance(p, q, o):
 def safe_path(data, start, end, depth=0):
     """Polyline from start to end detouring around branch points and +-i."""
     start, end = complex(start), complex(end)
-    obstacles = [r.value for r in curve_branch_points(data)]
+    obstacles = data.obstacles
     worst = None
     for o in obstacles:
         if abs(o - start) < 1e-12 or abs(o - end) < 1e-12:
@@ -282,17 +294,22 @@ def safe_path(data, start, end, depth=0):
 # The normalized ln mu: base point at a branch point, ln mu(base) = 0.
 
 
-def _even_square_root(a_poly):
-    """q with q^2 = a when every root of a has even multiplicity, else None."""
-    if a_poly.degree == 0:
-        return la.RealPolynomial(np.array([1.0]))
-    roots = la.find_roots(a_poly)
+def _even_square_root(data):
+    """q with q^2 = a when every root of a has even multiplicity, else None.
+
+    A conjugate pair gives the real factor k^2 - 2 Re(r) k + |r|^2 of its root
+    r in the upper half plane (merged double roots need not be exact conjugates).
+    """
+    roots = data.a_roots
     if any(r.multiplicity % 2 for r in roots):
         return None
     q = np.array([1.0 + 0.0j])
     for r in roots:
+        if r.value.imag < 0:
+            continue  # the factor of its conjugate covers it
+        factor = [-r.value, 1.0] if r.is_real else [abs(r.value) ** 2, -2.0 * r.value.real, 1.0]
         for _ in range(r.multiplicity // 2):
-            q = npoly.polymul(q, np.array([-r.value, 1.0]))
+            q = npoly.polymul(q, factor)
     if np.max(np.abs(q.imag)) > 1e-9 * np.max(np.abs(q)):
         return None
     return la.RealPolynomial(q.real)
@@ -304,7 +321,7 @@ def _closed_form(data):
     Exists when a = q^2 (no odd branch points besides +-i) and the rational
     reduction r' (kappa^2+1) - r kappa = b/q has a polynomial solution.
     """
-    q = _even_square_root(data.a)
+    q = _even_square_root(data)
     if q is None:
         return None
     rhs, rem = npoly.polydiv(data.b.coeffs, q.coeffs)
@@ -332,7 +349,7 @@ def _closed_form(data):
 
 def _base_point(data):
     """Branch point of smallest |kappa| among odd roots of a (the base of ln mu)."""
-    odd = [r.value for r in la.find_roots(data.a) if r.multiplicity % 2 == 1]
+    odd = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
     if not odd:
         return None
     return sorted(odd, key=lambda z: (abs(z), round(z.real, 12), round(z.imag, 12)))[0]
@@ -372,7 +389,7 @@ def lnmu_at(data, kappa, tol=1e-10, positive_real_branch=True):
     positive_real_branch is disabled.
     """
     kappa = complex(kappa)
-    cf = _closed_form(data)
+    cf = data.closed_form
     if cf is not None:
         r, q = cf
         w = cmath.sqrt(kappa * kappa + 1.0)
@@ -380,8 +397,9 @@ def lnmu_at(data, kappa, tol=1e-10, positive_real_branch=True):
         nu_val = complex(q(kappa)) * w
     else:
         base = _base_point(data)
-        obstacles = [x.value for x in curve_branch_points(data)]
-        gap = _local_gap(obstacles, base)
+        if base is None:
+            raise InconsistencyError("ln mu has neither a closed form nor an odd branch point")
+        gap = _local_gap(data.obstacles, base)
         direction = kappa - base
         if abs(direction) < 1e-12:
             raise DomainError("target coincides with the base branch point")
@@ -429,11 +447,11 @@ def homology_cycles(data):
     pairing; their residue behaviour is checked separately by the double
     loops in period_integrals.
     """
-    pts = [r.value for r in la.find_roots(data.a) if r.multiplicity % 2 == 1]
+    pts = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
     pts = sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     if len(pts) % 2 != 0:
         raise InconsistencyError("odd number of odd-multiplicity branch points")
-    all_pts = [r.value for r in curve_branch_points(data)]
+    all_pts = data.obstacles
     if len(all_pts) >= 2:
         min_gap = min(
             abs(p - q) for i, p in enumerate(all_pts) for q in all_pts[i + 1:]
@@ -469,8 +487,8 @@ def period_integrals(data, tol=1e-10):
     of d ln mu must be residue-free).
     """
     loops = homology_cycles(data)
-    all_pts = [r.value for r in curve_branch_points(data)]
-    for root in la.find_roots(data.a):
+    all_pts = data.obstacles
+    for root in data.a_roots:
         if root.multiplicity % 2 == 0:
             rad = 0.3 * min(max(_local_gap(all_pts, root.value), 2e-3), 1.0)
             loops.append(_circle(root.value, rad, 1))
@@ -486,10 +504,26 @@ def _canonical_lnmu(z):
     return complex(z.real, im)
 
 
+def closing_residuals(data, period_tol):
+    """ln mu at the marked points, the periods, and the residuals of B and C."""
+    lnmu0, _ = lnmu_at(data, data.kappa0)
+    lnmu1, _ = lnmu_at(data, data.kappa1)
+    periods = period_integrals(data, tol=period_tol)
+    res_b = max((_dist_to_2pii(p) for p in periods), default=0.0)
+    return {
+        "lnmu0": lnmu0,
+        "lnmu1": lnmu1,
+        "periods": periods,
+        "res_C0": abs(cmath.exp(2.0 * lnmu0) - 1.0),
+        "res_C1": abs(cmath.exp(2.0 * lnmu1) - 1.0),
+        "res_B": float(res_b),
+    }
+
+
 def check_conditions(data, tol=1e-8):
     """Verdicts on the three closing conditions, with residuals."""
     # A: nonnegativity of a on the real axis.
-    roots = la.find_roots(data.a)
+    roots = data.a_roots
     even_ok = all(r.multiplicity % 2 == 0 for r in roots if r.is_real)
     span = max([10.0] + [2.0 * abs(r.value) for r in roots])
     samples = np.linspace(-span, span, 1000)
@@ -498,40 +532,28 @@ def check_conditions(data, tol=1e-8):
     positive_ok = bool(np.min(vals) > -1e-9 * scale)
     pass_a = bool(even_ok and positive_ok)
 
-    # B: periods of d ln mu in 2 pi i Z.
-    periods = period_integrals(data)
-    res_b = max((_dist_to_2pii(p) for p in periods), default=0.0)
-    pass_b = bool(res_b < tol)
+    # B: periods of d ln mu in 2 pi i Z; C: mu = +-1 at the marked points.
+    res = closing_residuals(data, 1e-10)
+    pass_b = bool(res["res_B"] < tol)
+    pass_c = bool(max(res["res_C0"], res["res_C1"]) < tol)
 
-    # C: mu = +-1 at the marked points.
-    lnmu0, _ = lnmu_at(data, data.kappa0)
-    lnmu1, _ = lnmu_at(data, data.kappa1)
-    res_c0 = abs(cmath.exp(2.0 * lnmu0) - 1.0)
-    res_c1 = abs(cmath.exp(2.0 * lnmu1) - 1.0)
-    pass_c = bool(max(res_c0, res_c1) < tol)
-
-    c0 = _canonical_lnmu(lnmu0)
-    c1 = _canonical_lnmu(lnmu1)
+    c0 = _canonical_lnmu(res["lnmu0"])
+    c1 = _canonical_lnmu(res["lnmu1"])
     return {
         "A": pass_a,
-        "B": {"pass": pass_b, "periods": [[p.real, p.imag] for p in periods]},
+        "B": {"pass": pass_b, "periods": [[p.real, p.imag] for p in res["periods"]]},
         "C": {"pass": pass_c, "lnmu0": [c0.real, c0.imag], "lnmu1": [c1.real, c1.imag]},
-        "residuals": {"B": float(res_b), "C0": float(res_c0), "C1": float(res_c1)},
+        "residuals": {"B": res["res_B"], "C0": res["res_C0"], "C1": res["res_C1"]},
     }
 
 
-def delta(data, kappa, tol=1e-10, check_sheets=False):
+def delta(data, kappa, tol=1e-10):
     """The trace function Delta = 2 cosh(ln mu(kappa))."""
     kappa = complex(kappa)
     if abs(kappa - 1j) < 1e-9 or abs(kappa + 1j) < 1e-9:
         raise DomainError("Delta has essential behavior at kappa = +-i")
     val, _ = lnmu_at(data, kappa, tol=tol)
-    out = 2.0 * cmath.cosh(val)
-    if check_sheets:
-        other = 2.0 * cmath.cosh(-val)
-        if abs(out - other) > 1e-10 * max(abs(out), 1.0):
-            raise InconsistencyError("Delta disagrees between sheets")
-    return out
+    return 2.0 * cmath.cosh(val)
 
 
 def involution_residual(data, kappas):
@@ -592,8 +614,9 @@ def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
 def real_branch_points(data, window=(-10.0, 10.0), tol=1e-8, n_scan=4001):
     """Real zeros of Delta': roots of b plus real solutions of mu = +-1.
 
-    Returns a BranchPointReport with Delta values and branch orders; entries
-    closer than tol are merged.  Requires a > 0 on the window (no real nodes).
+    Returns a list of BranchEntry, sorted by kappa, with Delta values and
+    branch orders; entries closer than tol are merged.  Requires a > 0 on the
+    window (no real nodes).
     """
     lo, hi = float(window[0]), float(window[1])
     grid, theta = _theta_scan(data, lo, hi, n_scan)
@@ -636,40 +659,35 @@ def real_branch_points(data, window=(-10.0, 10.0), tol=1e-8, n_scan=4001):
         else:
             mult = _b_multiplicity_at(data, k_star, tol)
             order = 2 * mult + 1
-        entries.append(BranchEntry(k_star, delta_val, order, True, "double_point"))
+        entries.append(BranchEntry(k_star, delta_val, order, "double_point"))
 
     # roots of b in the window.
-    if data.b.degree >= 1:
-        for root in la.find_roots(data.b):
-            if not root.is_real:
-                continue
-            k = root.value.real
-            if not (lo <= k <= hi):
-                continue
-            if any(
-                e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8)
+    for root in data.b_roots:
+        if not root.is_real:
+            continue
+        k = root.value.real
+        if not (lo <= k <= hi):
+            continue
+        if any(
+            e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8)
+            for e in entries
+        ):
+            # already counted; retag as a combined point
+            entries = [
+                BranchEntry(e.kappa, e.delta, e.order, "both")
+                if (e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8))
+                else e
                 for e in entries
-            ):
-                # already counted; retag as a combined point
-                entries = [
-                    BranchEntry(e.kappa, e.delta, e.order, True, "both")
-                    if (e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8))
-                    else e
-                    for e in entries
-                ]
-                continue
-            theta_k = lnmu_at(data, k)[0].imag
-            entries.append(
-                BranchEntry(k, 2.0 * math.cos(theta_k), root.multiplicity, True, "b_root")
-            )
+            ]
+            continue
+        theta_k = lnmu_at(data, k)[0].imag
+        entries.append(BranchEntry(k, 2.0 * math.cos(theta_k), root.multiplicity, "b_root"))
     entries.sort(key=lambda e: e.kappa.real)
-    return BranchPointReport(entries)
+    return entries
 
 
 def _b_multiplicity_at(data, k, tol):
-    if data.b.degree < 1:
-        return 0
-    for root in la.find_roots(data.b):
+    for root in data.b_roots:
         if abs(root.value - k) < max(tol, 1e-6):
             return root.multiplicity
     return 0
@@ -683,8 +701,8 @@ def g_invariant(data, window=None, tol=1e-8):
     caveats around genus-zero cylinders: the two counting rules in the source
     material disagree there, so both numbers are reported).
     """
-    b_roots = la.find_roots(data.b) if data.b.degree >= 1 else []
-    a_root_vals = [r.value for r in curve_branch_points(data)]
+    b_roots = data.b_roots
+    a_root_vals = data.obstacles
     nonreal_curve_points = 0
     for root in b_roots:
         if root.is_real:
@@ -714,9 +732,9 @@ def g_invariant(data, window=None, tol=1e-8):
     details = {
         "nonreal_curve_points": nonreal_curve_points,
         "real_double_points": len(doubles),
-        "real_delta_prime_zeros": len(report.entries),
+        "real_delta_prime_zeros": len(report),
         "window": [float(window[0]), float(window[1])],
-        "naive_count": nonreal_curve_points // 2 + len(report.entries) - 1,
+        "naive_count": nonreal_curve_points // 2 + len(report) - 1,
     }
     return g_val, details
 

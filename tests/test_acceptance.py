@@ -173,7 +173,7 @@ def test_09_flow_invariance(rng, revolution_quarter):
     data = revolution_quarter
     coeffs = rng.standard_normal(data.g + 2)
     coeffs *= 0.1 / np.linalg.norm(coeffs)
-    c = la.RealPolynomial(coeffs, role="c")
+    c = la.RealPolynomial(coeffs)
     traj, status = flow.flow_integrate(
         data,
         lambda d: c,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -224,3 +225,80 @@ def test_surface_far_strip_exits_numerical(tmp_path):
         ]
     )
     assert code == cli.EXIT_NUMERICAL
+
+
+def _nonfinite_argv(tmp_path, case):
+    """argv of one CLI call on input with a NaN or an infinity in it."""
+    cmd, field, value = case
+    if cmd == "surface":
+        out = ["--grid", "8", "8", "--out", str(tmp_path / "s.obj")]
+        if field == "xi":
+            obj = families.delaunay_xi(families.DelaunayParams(0.3, 0.5)).to_json()
+            obj["coeffs"][1][0][1][0] = value
+            path = str(tmp_path / "xi.json")
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            return ["surface", "--xi", path] + out
+        return ["surface", "--family", "delaunay", f"--{field}", str(value)] + out
+    obj = families.revolution_family(families.RevolutionParams(0.5, 0.25))[0].to_json()
+    if field in ("a", "b"):
+        obj[field][0] = value
+    else:
+        obj[field] = value
+    path = str(tmp_path / "data.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return [cmd, path, "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("check", f, v) for f in ("a", "b", "kappa0") for v in (math.nan, math.inf, -math.inf)]
+    + [("delta", "kappa0", math.inf), ("delta", "b", math.nan)]
+    + [("surface", "xi", math.nan), ("surface", "kappa0", math.nan)],
+    ids=lambda case: "-".join(map(str, case)),
+)
+def test_nonfinite_input_exits_schema(tmp_path, capsys, case):
+    code = run(_nonfinite_argv(tmp_path, case))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SCHEMA
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "s.obj") and not os.path.exists(tmp_path / "out.txt")
+
+
+@pytest.mark.parametrize("cmd", ["check", "delta"])
+def test_nodal_square_curve_without_normalization_exits_numerical(tmp_path, capsys, cmd):
+    # a = (k^2 + 1/2)^2 is a square, but b = 0.3 k is not divisible by sqrt(a)
+    path = str(tmp_path / "nodal.json")
+    with open(path, "w") as fh:
+        json.dump({"a": [0.25, 0.0, 1.0, 0.0, 1.0], "b": [0.0, 0.3], "kappa0": 1.2,
+                   "kappa1": -0.8}, fh)
+    code = run([cmd, path, "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL
+    assert "not divisible by sqrt(a)" in err and "Traceback" not in err
+
+
+def test_surface_xi_file_checks(tmp_path):
+    # a valid-looking file that breaks an xi condition fails the check (exit 1);
+    # a file of the wrong shape is malformed input (exit 3)
+    def code_for(edit):
+        obj = families.delaunay_xi(families.DelaunayParams(0.3, 0.5)).to_json()
+        edit(obj)
+        path = str(tmp_path / "xi.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        return run(["surface", "--xi", path, "--grid", "8", "8", "--out", str(tmp_path / "x.obj")])
+
+    def not_traceless(obj):
+        obj["coeffs"][1][0][0] = [1.0, 0.0]
+
+    def not_triangular(obj):
+        obj["coeffs"][0][1][0] = [1.0, 0.0]
+
+    def wrong_shape(obj):
+        obj["g"] = 2
+
+    assert code_for(not_traceless) == cli.EXIT_CHECK_FAILED
+    assert code_for(not_triangular) == cli.EXIT_CHECK_FAILED
+    assert code_for(wrong_shape) == cli.EXIT_SCHEMA

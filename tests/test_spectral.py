@@ -124,7 +124,7 @@ def test_delta_clifford(clifford_data):
 
 
 def test_delta_sheet_independence(revolution_quarter):
-    val = sp.delta(revolution_quarter, 0.4, check_sheets=True)
+    val = sp.delta(revolution_quarter, 0.4)
     assert abs(val.imag) < 1e-10
 
 
@@ -159,13 +159,11 @@ def test_g_invariant(clifford_data, revolution_quarter):
 
 
 def test_weighted_genus_arithmetic():
-    report = sp.BranchPointReport(
-        [
-            sp.BranchEntry(0.0, 2.0, 1, True, "double_point"),
-            sp.BranchEntry(1.0, 0.3, 2, True, "b_root"),
-            sp.BranchEntry(2.0, -2.0, 2, True, "both"),
-        ]
-    )
+    report = [
+        sp.BranchEntry(0.0, 2.0, 1, "double_point"),
+        sp.BranchEntry(1.0, 0.3, 2, "b_root"),
+        sp.BranchEntry(2.0, -2.0, 2, "both"),
+    ]
     # order 1 at Delta=2 -> 0; order 2 away from +-2 -> 2; order 2 at -2 -> 1
     assert sp.weighted_genus(report) == 3
 
@@ -207,7 +205,7 @@ def test_delta_rotational_closed_form_on_leg_and_polyline(monkeypatch, phi):
         data = sp.mobius_transform_data(data, phi)
     c, s = math.cos(phi), math.sin(phi)
     base = sp._base_point(data)
-    gap = sp._local_gap([r.value for r in sp.curve_branch_points(data)], base)
+    gap = sp._local_gap(data.obstacles, base)
     polylines = []
     integrate = sp.integrate_dlnmu
 
@@ -268,3 +266,43 @@ def test_genus2_lnmu_and_periods_pinned():
     periods = sp.period_integrals(data)
     assert len(periods) == len(_G2_PERIODS)
     assert all(close(p, q) for p, q in zip(periods, _G2_PERIODS))
+
+
+def test_nodal_square_curve_closed_form():
+    # a = (k^2 + 1/2)^2 = q^2 with b = 0.3 k q: ln mu = -0.6 pi i / sqrt(k^2 + 1).
+    # find_roots returns the double roots +-i/sqrt(2) as inexact conjugates.
+    q = np.array([0.5, 0.0, 1.0])
+    data = sp.SpectralData(
+        la.RealPolynomial(np.polynomial.polynomial.polymul(q, q)),
+        la.RealPolynomial(0.3 * np.polynomial.polynomial.polymul([0.0, 1.0], q)),
+        1.2,
+        -0.8,
+    )
+    for kappa in (0.5, -2.3, 3.0, 1.7 + 0.4j, 0.1 - 0.2j):
+        want = 2.0 * cmath.cos(0.6 * math.pi / cmath.sqrt(kappa * kappa + 1.0))
+        assert abs(sp.delta(data, kappa) - want) < 1e-9
+
+
+def test_curve_roots_found_once(revolution_quarter, monkeypatch):
+    # every query on one curve shares its root sets: at most one find_roots
+    # call each for a, b and p = (k^2 + 1) a
+    data = sp.SpectralData(
+        revolution_quarter.a, revolution_quarter.b,
+        revolution_quarter.kappa0, revolution_quarter.kappa1,
+    )
+    keys = {tuple(c.tolist()) for c in (data.a.coeffs, data.b.coeffs, data.p_coeffs)}
+    calls = []
+    find_roots = la.find_roots
+
+    def counting(p, *args, **kwargs):
+        calls.append(tuple(np.asarray(getattr(p, "coeffs", p)).tolist()))
+        return find_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(la, "find_roots", counting)
+    sp.check_conditions(data)
+    for kappa in np.linspace(-3.0, 3.0, 41):
+        sp.delta(data, kappa)
+    sp.real_branch_points(data, window=(-3.0, 3.0))
+    sp.g_invariant(data)
+    assert set(calls) <= keys
+    assert len(calls) == len(set(calls))
