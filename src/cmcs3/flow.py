@@ -21,6 +21,9 @@ from . import loop_algebra as la
 from . import spectral as sp
 from .errors import ConditioningError, ConvergenceError, DomainError, PreconditionError
 
+# Gate on the relative residual of the integrability system.
+_RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DeformationState:
@@ -51,7 +54,7 @@ def _resultant_normalized(a, b):
     return abs(det) / hadamard if hadamard > 0 else 0.0
 
 
-def solve_ab_dot(a, b, c, residual_tol=1e-10):
+def solve_ab_dot(a, b, c):
     """Solve the integrability identity for (a-dot, b-dot).
 
     a must be monic of even degree 2g; the unknowns are the 2g low
@@ -91,9 +94,9 @@ def solve_ab_dot(a, b, c, residual_tol=1e-10):
         mat[j : j + len(seg), n_adot + j] += 2.0 * seg
     sol, *_ = np.linalg.lstsq(mat, rhs_vec, rcond=None)
     resid = np.linalg.norm(mat @ sol - rhs_vec) / scale
-    if resid > residual_tol:
+    if resid > _RESIDUAL_TOL:
         raise ConditioningError(
-            f"integrability system residual {resid:.3e} exceeds {residual_tol:.1e}"
+            f"integrability system residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
     adot = la.RealPolynomial(sol[:n_adot] if n_adot else np.zeros(1))
     bdot = la.RealPolynomial(sol[n_adot:])
@@ -128,7 +131,7 @@ def b_root_basis(data):
     """Simple roots of b sorted by (Re, Im); the branch targets of the flow."""
     if any(r.multiplicity > 1 for r in data.b_roots):
         raise PreconditionError("b has a multiple root; branch-target flows undefined")
-    return sorted(data.b_roots, key=lambda r: (round(r.value.real, 12), round(r.value.imag, 12)))
+    return sorted(data.b_roots, key=lambda r: sp.plane_key(r.value))
 
 
 def build_c_branch_target(data, i):
@@ -192,11 +195,17 @@ _DP_B4 = np.array(
 )
 
 
+def _padded(coeffs, n):
+    """The first n coefficients, zero-padded to length n."""
+    out = np.zeros(n)
+    out[: min(len(coeffs), n)] = coeffs[:n]
+    return out
+
+
 def _pack(data):
     g = data.g
-    b = np.zeros(g + 2)
-    b[: len(data.b.coeffs)] = data.b.coeffs
-    return np.concatenate([data.a.coeffs[: 2 * g], b, [data.kappa0, data.kappa1]])
+    b = _padded(data.b.coeffs, g + 2)
+    return np.concatenate([_padded(data.a.coeffs, 2 * g), b, [data.kappa0, data.kappa1]])
 
 
 def _unpack(y, g):
@@ -207,6 +216,11 @@ def _unpack(y, g):
 
 def _monitors(data):
     return sp.closing_residuals(data, 1e-9)
+
+
+def _stopped(reason, t):
+    """Status of a flow that stopped early at time t."""
+    return {"completed": False, "reason": reason, "t_reached": t}
 
 
 def flow_integrate(
@@ -238,11 +252,9 @@ def flow_integrate(
         c = c_supplier(state)
         adot, bdot, _ = solve_ab_dot(state.a, state.b, c)
         k0d, k1d = kappa_dot(state, c)
-        da = np.zeros(2 * g)
-        da[: len(adot.coeffs)] = adot.coeffs[: 2 * g]
-        db = np.zeros(g + 2)
-        db[: len(bdot.coeffs)] = bdot.coeffs
-        return np.concatenate([da, db, [k0d, k1d]])
+        return np.concatenate(
+            [_padded(adot.coeffs, 2 * g), _padded(bdot.coeffs, g + 2), [k0d, k1d]]
+        )
 
     y = _pack(data)
     t = 0.0
@@ -261,7 +273,7 @@ def flow_integrate(
                     yi = y + dt * sum(aij * kj for aij, kj in zip(_DP_A[row], ks))
                     ks.append(deriv(yi))
             except (ConditioningError, PreconditionError) as exc:
-                status = {"completed": False, "reason": str(exc), "t_reached": t}
+                status = _stopped(str(exc), t)
                 break
             ks = np.array(ks)
             y5 = y + dt * (_DP_B5 @ ks)
@@ -272,16 +284,12 @@ def flow_integrate(
             if accept:
                 cand = _unpack(y5, g)
                 if abs(cand.kappa0 - cand.kappa1) < 1e-6:
-                    status = {
-                        "completed": False,
-                        "reason": "marked points collided (mean curvature blow-up)",
-                        "t_reached": t,
-                    }
+                    status = _stopped("marked points collided (mean curvature blow-up)", t)
                     break
                 try:
                     mon = _monitors(cand)
                 except (ConvergenceError, DomainError) as exc:
-                    status = {"completed": False, "reason": str(exc), "t_reached": t}
+                    status = _stopped(str(exc), t)
                     break
                 if max(mon["res_C0"], mon["res_C1"], mon["res_B"]) > monitor_tol:
                     accept = False
@@ -292,11 +300,7 @@ def flow_integrate(
             else:
                 rejections += 1
                 if rejections > 40:
-                    status = {
-                        "completed": False,
-                        "reason": "step size collapsed under monitor rejections",
-                        "t_reached": t,
-                    }
+                    status = _stopped("step size collapsed under monitor rejections", t)
                     break
             # standard PI-free step update, with halving on rejection
             if err > 0:
@@ -321,14 +325,10 @@ def trajectory_to_csv(trajectory, path):
     header = ["t"] + a_cols + b_cols + ["kappa0", "kappa1", "H", "res_C0", "res_C1", "res_B"]
     lines = [",".join(header)]
     for st in trajectory:
-        a = np.zeros(2 * g + 1)
-        a[: len(st.data.a.coeffs)] = st.data.a.coeffs
-        b = np.zeros(g + 2)
-        b[: len(st.data.b.coeffs)] = st.data.b.coeffs
         vals = (
             [st.t]
-            + list(a)
-            + list(b)
+            + list(_padded(st.data.a.coeffs, 2 * g + 1))
+            + list(_padded(st.data.b.coeffs, g + 2))
             + [
                 st.data.kappa0,
                 st.data.kappa1,

@@ -21,6 +21,10 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 # loops exp(w zeta0): degree 4-6 for Delaunay fields at |w| <= 1.4, against
 # 7-8 for exp(z xi) at |z| = 5.
 _TILE = 1.0
+# find_period: Gauss-Newton stops below this residual norm, and fails above
+# it after _PERIOD_MAX_ITER iterations per sign branch.
+_PERIOD_TOL = 1e-8
+_PERIOD_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class MarkedPoints:
 
     @classmethod
     def from_kappa(cls, kappa0, kappa1):
+        if not (math.isfinite(kappa0) and math.isfinite(kappa1)):
+            raise PreconditionError("marked points must be finite")
         return cls(complex(la.mobius_to_lambda(kappa0)), complex(la.mobius_to_lambda(kappa1)))
 
     @property
@@ -59,14 +65,6 @@ class MarkedPoints:
     @property
     def kappa1(self):
         return float(la.mobius_to_kappa(self.lam1).real)
-
-    @property
-    def t0(self):
-        return float(np.angle(self.lam0) / 2.0)
-
-    @property
-    def t1(self):
-        return float(np.angle(self.lam1) / 2.0)
 
     @property
     def mean_curvature(self):
@@ -133,10 +131,9 @@ def _tiles(zs):
 class _TiledFrames:
     """Frame supplier backed by the loop-group factorization (see frame_fn_from_xi)."""
 
-    def __init__(self, xi, marked, tol):
+    def __init__(self, xi, marked):
         self.xi = xi
         self.lams = np.array([marked.lam0, marked.lam1])
-        self.tol = tol
         self.defects = None
 
     def __call__(self, zs):
@@ -148,15 +145,15 @@ class _TiledFrames:
         tiles.sort(key=lambda tile: -abs(tile[0]))
         unit = recon = 0.0
         for z0, idx in tiles:
-            fp = iwasawa.frame(self.xi, z0, tol=self.tol)
+            fp = iwasawa.frame(self.xi, z0)
             f_z0 = fp.f.evaluate(self.lams)
             vals[idx] = f_z0
             unit = max(unit, fp.unitarity_defect)
             recon = max(recon, fp.reconstruction_defect)
             rest = idx[flat[idx] != z0]
             if rest.size:
-                zeta = iwasawa.transport(self.xi, fp)
-                local, u, r = iwasawa.frame_values(zeta, flat[rest] - z0, self.lams, tol=self.tol)
+                zeta, _ = iwasawa.transport(self.xi, fp)
+                local, u, r = iwasawa.frame_values(zeta, flat[rest] - z0, self.lams)
                 vals[rest] = iwasawa.mul2(f_z0, local)
                 unit = max(unit, float(u.max()))
                 recon = max(recon, float(r.max()))
@@ -166,7 +163,7 @@ class _TiledFrames:
         return vals[..., 0, :, :], vals[..., 1, :, :]
 
 
-def frame_fn_from_xi(xi, marked, tol=1e-9):
+def frame_fn_from_xi(xi, marked):
     """Frame supplier backed by the loop-group factorization, vectorized over z.
 
     fn(zs) returns the frames (F0s, F1s) at the two marked points, each of
@@ -179,7 +176,7 @@ def frame_fn_from_xi(xi, marked, tol=1e-9):
     a call, fn.defects holds the largest unitarity and reconstruction
     defects over the grid and the number of anchors.
     """
-    return _TiledFrames(xi, marked, tol)
+    return _TiledFrames(xi, marked)
 
 
 def frame_fn_from_closed_form(closed_frame, marked):
@@ -328,13 +325,6 @@ def sinh_gordon_residual(sample):
     return r, float(np.nanmax(np.abs(interior)))
 
 
-def numeric_h_q(sample):
-    """Per-vertex numeric mean curvature and Hopf coefficient fields."""
-    if sample.h_num is None:
-        derive_geometry(sample)
-    return sample.h_num, sample.q_num
-
-
 def _marked_monodromy(xi, marked, tau):
     """The monodromy M(tau) at the two marked points, stacked as (2, 2, 2)."""
     loop, _ = iwasawa.monodromy(xi, tau)
@@ -370,7 +360,7 @@ def _period_residual_vec(xi, marked, tau, sign):
     return np.concatenate([diff.real, diff.imag])
 
 
-def find_period(xi, marked, tau_guess, tol=1e-8, max_iter=60):
+def find_period(xi, marked, tau_guess):
     """Numerically invert the periodicity condition near tau_guess.
 
     Damped Gauss-Newton on the stacked real residual of M(tau) -+ 1 at both
@@ -379,10 +369,10 @@ def find_period(xi, marked, tau_guess, tol=1e-8, max_iter=60):
     best = None
     for sign in (1.0, -1.0):
         tau = complex(tau_guess)
-        for _ in range(max_iter):
+        for _ in range(_PERIOD_MAX_ITER):
             r = _period_residual_vec(xi, marked, tau, sign)
             nrm = np.linalg.norm(r)
-            if nrm < tol:
+            if nrm < _PERIOD_TOL:
                 break
             h = 1e-6 * max(1.0, abs(tau))
             jx = (_period_residual_vec(xi, marked, tau + h, sign) - r) / h
@@ -402,7 +392,7 @@ def find_period(xi, marked, tau_guess, tol=1e-8, max_iter=60):
         if best is None or r < best[1]:
             best = (tau, r, sign)
     tau, resid, sign = best
-    if resid > tol:
+    if resid > _PERIOD_TOL:
         raise ConvergenceError(
             f"period search stalled at residual {resid:.3e}", residual=float(resid)
         )

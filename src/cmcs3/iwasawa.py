@@ -29,6 +29,14 @@ from .errors import ConditioningError, ConvergenceError, PreconditionError
 
 _I2 = np.eye(2, dtype=complex)
 
+# Gates and sizes.  A factorization's unitarity defect and acausal energy stay
+# below _FRAME_TOL and its reconstruction defect below 100 _FRAME_TOL.
+_FRAME_TOL = 1e-9
+_TAIL_TOL = 1e-12  # Fourier modes below this times a loop's largest one are dropped
+_PROJECTION_TOL = 1e-6  # energy that transport may drop outside degrees -1..g
+_EXP_MAX_SAMPLES, _FACTOR_MAX_SAMPLES = 4096, 8192  # circle sample caps
+_ODE_STEPS = 400  # fixed RK4 steps of integrate_frame_ode
+
 # Memory budget of one stacked factorization pass.  Per loop of degree n the
 # block-Toeplitz section and its Cholesky factor hold 2 (8n)^2 complex
 # entries, and the circle samples about 16 arrays of m 2x2 matrices.
@@ -133,11 +141,11 @@ class FourierLoop:
         pad[..., np.arange(-self.n, self.n + 1) % m, :, :] = self.coeffs
         return np.fft.ifft(pad, axis=-3) * m
 
-    def trimmed(self, tol=1e-13):
-        """Drop the outer modes below tol relative to each loop's largest one."""
+    def trimmed(self):
+        """Drop the outer modes below _TAIL_TOL relative to each loop's largest one."""
         norms = np.max(np.abs(self.coeffs), axis=(-2, -1)).reshape(-1, 2 * self.n + 1)
         scale = np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
-        keep = np.nonzero(np.any(norms > tol * scale, axis=0))[0]
+        keep = np.nonzero(np.any(norms > _TAIL_TOL * scale, axis=0))[0]
         if keep.size == 0:
             return FourierLoop(0, np.zeros(self.coeffs.shape[:-3] + (1, 2, 2), complex))
         half = max(abs(int(keep[0]) - self.n), abs(int(keep[-1]) - self.n))
@@ -162,16 +170,16 @@ def coeffs_from_samples(samples):
     return ks, raw[..., ks % m, :, :]
 
 
-def loop_from_samples(samples, tail_tol):
+def loop_from_samples(samples):
     """Build a FourierLoop (or a stack) from circle samples, or None if a tail is fat.
 
-    Each loop's modes are judged against its own largest mode; a stack keeps
-    the widest significant band of its loops.
+    Each loop's modes are judged against _TAIL_TOL times its own largest mode;
+    a stack keeps the widest significant band of its loops.
     """
     ks, cs = coeffs_from_samples(samples)
     m = samples.shape[-3]
     norms = np.max(np.abs(cs), axis=(-2, -1)).reshape(-1, m)
-    cut = tail_tol * np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
+    cut = _TAIL_TOL * np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
     if np.any(norms[:, np.abs(ks) >= m // 4] > cut):
         return None
     sig = np.nonzero(np.any(norms > cut, axis=0))[0]
@@ -182,7 +190,7 @@ def loop_from_samples(samples, tail_tol):
     return FourierLoop(half, out)
 
 
-def exp_loop(xi, z, tail_tol=1e-12, max_samples=4096):
+def exp_loop(xi, z):
     """Fourier loop of lam -> exp(z xi(lam)), adaptively truncated.
 
     z is a scalar, or a 1-D array giving a stack of loops that share the
@@ -190,20 +198,19 @@ def exp_loop(xi, z, tail_tol=1e-12, max_samples=4096):
     """
     z = np.asarray(z, dtype=complex)
     m = 64
-    while m <= max_samples:
+    while m <= _EXP_MAX_SAMPLES:
         a = z[..., None, None, None] * la.evaluate(xi, circle_points(m))
-        loop = loop_from_samples(expm_traceless(a), tail_tol)
+        loop = loop_from_samples(expm_traceless(a))
         if loop is not None:
             return loop
         m *= 2
     raise ConvergenceError(
-        f"exp loop tail above {tail_tol} at {max_samples} samples", residual=None
+        f"exp loop tail above {_TAIL_TOL} at {_EXP_MAX_SAMPLES} samples", residual=None
     )
 
 
 @dataclass(frozen=True)
 class FramePoint:
-    z: complex
     f: FourierLoop
     b: FourierLoop
     unitarity_defect: float
@@ -290,7 +297,7 @@ def _unitarity_defect(f_samples):
     return _per_loop_max(mul2(f_samples, adjoint2(f_samples)) - _I2)
 
 
-def iwasawa_factor(phi, tol=1e-9, tail_tol=1e-12, max_samples=8192):
+def iwasawa_factor(phi):
     """Split det-1 loops into unitary and plus factors, Phi = F B.
 
     phi is one loop or a stack; the stack is factorized in one pass and
@@ -321,49 +328,47 @@ def iwasawa_factor(phi, tol=1e-9, tail_tol=1e-12, max_samples=8192):
         ks_b, b_cs = coeffs_from_samples(mul2(adjoint2(f_s), phi_s))
         scale = np.maximum(_per_loop_max(b_cs), 1e-300)
         acausal = float(np.max(_per_loop_max(b_cs[..., ks_b < 0, :, :]) / scale))
-        if acausal > tol:
+        if acausal > _FRAME_TOL:
             raise ConvergenceError(
                 f"plus factor has acausal energy {acausal:.3e}", residual=acausal
             )
         b_coeffs, f_s = _normalize_b0(b_cs[..., (ks_b >= 0) & (ks_b <= band), :, :], f_s)
         defect = _unitarity_defect(f_s)
         worst = float(np.max(defect))
-        if worst > tol:
+        if worst > _FRAME_TOL:
             raise ConvergenceError(
-                f"unitarity defect {worst:.3e} above tolerance {tol}", residual=worst
+                f"unitarity defect {worst:.3e} above tolerance {_FRAME_TOL}", residual=worst
             )
-        f_loop = loop_from_samples(f_s, tail_tol)
+        f_loop = loop_from_samples(f_s)
         if f_loop is None:
-            if m >= max_samples:
+            if m >= _FACTOR_MAX_SAMPLES:
                 raise ConvergenceError("unitary factor tail not resolved", residual=None)
             m *= 2
             continue
         b_centered = np.zeros(b_coeffs.shape[:-3] + (2 * band + 1, 2, 2), dtype=complex)
         b_centered[..., band:, :, :] = b_coeffs
-        b_loop = FourierLoop(band, b_centered).trimmed(tail_tol)
+        b_loop = FourierLoop(band, b_centered).trimmed()
         recon_err = mul2(f_loop.samples(m), b_loop.samples(m)) - phi_s
         recon = _per_loop_max(recon_err) / np.maximum(_per_loop_max(phi.coeffs), 1e-300)
         return f_loop, b_loop, defect, recon
 
 
-def _check_reconstruction(recon, tol):
+def _check_reconstruction(recon):
     worst = float(np.max(recon))
-    if worst > 100 * tol:
+    if worst > 100 * _FRAME_TOL:
         raise ConvergenceError(f"reconstruction defect {worst:.3e}", residual=worst)
 
 
-def frame(xi, z, tol=1e-9, tail_tol=1e-12):
+def frame(xi, z):
     """Extended frame at z: unitary factor of the split of exp(z xi)."""
     if z == 0:
-        ident = identity_loop()
-        return FramePoint(0j, ident, identity_loop(), 0.0, 0.0)
-    phi = exp_loop(xi, z, tail_tol=tail_tol)
-    f, b, defect, recon = iwasawa_factor(phi, tol=tol, tail_tol=tail_tol)
-    _check_reconstruction(recon, tol)
-    return FramePoint(complex(z), f, b, float(defect), float(recon))
+        return FramePoint(identity_loop(), identity_loop(), 0.0, 0.0)
+    f, b, defect, recon = iwasawa_factor(exp_loop(xi, z))
+    _check_reconstruction(recon)
+    return FramePoint(f, b, float(defect), float(recon))
 
 
-def frame_values(xi, zs, lams, tol=1e-9, tail_tol=1e-12):
+def frame_values(xi, zs, lams):
     """Frames F(z)(lam) for a 1-D stack of z at the spectral values lams.
 
     Returns values of shape (P, L, 2, 2) and the per-point unitarity and
@@ -375,25 +380,24 @@ def frame_values(xi, zs, lams, tol=1e-9, tail_tol=1e-12):
     zs = np.asarray(zs, dtype=complex)
     lams = np.asarray(lams, dtype=complex)
     order = np.argsort(np.abs(zs), kind="stable")
-    n_far = exp_loop(xi, zs[order[-1]], tail_tol=tail_tol).n
+    n_far = exp_loop(xi, zs[order[-1]]).n
     step = max(1, _STACK_BYTES // _stack_bytes(n_far))
     vals = np.empty((zs.size, lams.size, 2, 2), dtype=complex)
     unit = np.empty(zs.size)
     recon = np.empty(zs.size)
     for i in range(0, zs.size, step):
         part = order[i: i + step]
-        phi = exp_loop(xi, zs[part], tail_tol=tail_tol)
-        f, _, unit[part], recon[part] = iwasawa_factor(phi, tol=tol, tail_tol=tail_tol)
-        _check_reconstruction(recon[part], tol)
+        f, _, unit[part], recon[part] = iwasawa_factor(exp_loop(xi, zs[part]))
+        _check_reconstruction(recon[part])
         vals[part] = f.evaluate(lams)
     return vals, unit, recon
 
 
-def transport(xi, fp, tol=1e-6, return_residual=False):
+def transport(xi, fp):
     """Transport the matrix polynomial to a frame point: F^{-1} xi F.
 
     The conjugated loop is re-projected onto Laurent degrees -1..g; the
-    dropped energy is the projection residual.
+    dropped energy is the projection residual.  Returns (zeta, residual).
     """
     m = 1
     while m < max(8 * (fp.f.n + xi.g + 2), 64):
@@ -405,26 +409,22 @@ def transport(xi, fp, tol=1e-6, return_residual=False):
     ks, cs = coeffs_from_samples(lam[:, None, None] * zeta_s)
     keep = (ks >= 0) & (ks <= xi.g + 1)
     resid = float(np.max(np.abs(cs[~keep]))) / xi.scale()
-    if resid > tol:
+    if resid > _PROJECTION_TOL:
         raise ConvergenceError(f"Laurent projection residual {resid:.3e}", residual=resid)
-    zeta = la.LaurentMatrix(xi.g, cs[keep], validate=False)
-    if return_residual:
-        return zeta, resid
-    return zeta
+    return la.LaurentMatrix(xi.g, cs[keep], validate=False), resid
 
 
-def killing_field(xi, z, tol=1e-6, return_residual=False):
+def killing_field(xi, z):
     """The matrix polynomial transported along the surface: F^{-1} xi F at z."""
-    return transport(xi, frame(xi, z), tol=tol, return_residual=return_residual)
+    return transport(xi, frame(xi, z))[0]
 
 
-def monodromy(xi, tau, tol=1e-9):
+def monodromy(xi, tau):
     """Monodromy loop M(lam) = F(lam) at z = tau (base point z = 0).
 
     Returns the loop together with the trace function Delta(lam) = tr M.
     """
-    fp = frame(xi, tau, tol=tol)
-    loop = fp.f
+    loop = frame(xi, tau).f
 
     def delta(lam):
         vals = loop.evaluate(lam)
@@ -433,17 +433,17 @@ def monodromy(xi, tau, tol=1e-9):
     return loop, delta
 
 
-def integrate_frame_ode(alpha, z, lam, steps=400):
+def integrate_frame_ode(alpha, z, lam):
     """Cross-check route: integrate dF = F alpha along the segment 0 -> z.
 
     alpha(z, lam) must return the pair (alpha', alpha'') multiplying dz and
-    d(conj z).  Classical RK4 with fixed steps; used only to validate closed
-    forms on the example families.
+    d(conj z).  Classical RK4 with _ODE_STEPS fixed steps; used only to
+    validate closed forms on the example families.
     """
     z = complex(z)
     f = _I2.copy()
-    h = 1.0 / steps
-    for j in range(steps):
+    h = 1.0 / _ODE_STEPS
+    for j in range(_ODE_STEPS):
         t = j * h
 
         def rhs(fm, tt):

@@ -26,6 +26,9 @@ EPS = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
 # companion-matrix solve, so the merge radius must sit above that.
 _MERGE_TOL = 1e-6
 _CLASS_TOL = 1e-7
+_SEMISIMPLE_TOL = 1e-10  # nonzero test of the entries that make xi semisimple
+_UNIMODULAR_TOL = 1e-9  # ||alpha| - 1| below this takes the linear removal factor
+_DIVISION_TOL = 1e-8  # residuals of root division and tangents, relative to xi
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class RealPolynomial:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if c.ndim != 1:
+            raise PreconditionError(f"polynomial coefficients must be 1-D, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -155,9 +160,9 @@ def reality_check(xi, tol=1e-10):
     return bool(worst <= tol), float(worst)
 
 
-def semisimplicity_check(xi, tol=1e-10):
+def semisimplicity_check(xi):
     """True iff the upper-right of xi_{-1} and lower-left of xi_0 are nonzero."""
-    return bool(abs(xi.coeff(-1)[0, 1]) > tol and abs(xi.coeff(0)[1, 0]) > tol)
+    return bool(min(abs(xi.coeff(-1)[0, 1]), abs(xi.coeff(0)[1, 0])) > _SEMISIMPLE_TOL)
 
 
 def mobius_to_kappa(lam):
@@ -278,7 +283,6 @@ class Root:
     value: complex
     multiplicity: int
     is_real: bool
-    is_unimodular: bool
 
 
 def _newton_polish(coeffs, roots):
@@ -292,11 +296,12 @@ def _newton_polish(coeffs, roots):
     return roots
 
 
-def find_roots(p, tol=_MERGE_TOL):
-    """Roots with multiplicities and real/unimodular classification.
+def find_roots(p):
+    """Roots with multiplicities and real classification.
 
     Accepts a RealPolynomial or an ascending coefficient array.  Roots closer
-    than tol (relative) are merged into one root with combined multiplicity.
+    than _MERGE_TOL (relative) are merged into one root with combined
+    multiplicity.
     """
     coeffs = p.coeffs if isinstance(p, RealPolynomial) else np.asarray(p, dtype=complex)
     scale = np.max(np.abs(coeffs))
@@ -316,7 +321,7 @@ def find_roots(p, tol=_MERGE_TOL):
     for r in raw:
         for grp in groups:
             ref = grp[0]
-            if abs(r - ref) <= tol * max(1.0, abs(ref)):
+            if abs(r - ref) <= _MERGE_TOL * max(1.0, abs(ref)):
                 grp.append(r)
                 break
         else:
@@ -327,18 +332,11 @@ def find_roots(p, tol=_MERGE_TOL):
         is_real = abs(val.imag) < _CLASS_TOL * max(1.0, abs(val))
         if is_real:
             val = complex(val.real, 0.0)
-        out.append(
-            Root(
-                value=complex(val),
-                multiplicity=len(grp),
-                is_real=is_real,
-                is_unimodular=abs(abs(val) - 1.0) < _CLASS_TOL,
-            )
-        )
+        out.append(Root(value=complex(val), multiplicity=len(grp), is_real=is_real))
     return out
 
 
-def root_removal_factor(alpha, tol=1e-9):
+def root_removal_factor(alpha):
     """The real-coefficient (in the loop sense) factor vanishing at alpha.
 
     For unimodular alpha this is the linear i(conj(sqrt(alpha)) lam -
@@ -350,13 +348,13 @@ def root_removal_factor(alpha, tol=1e-9):
     alpha = complex(alpha)
     if alpha == 0:
         raise DomainError("root removal requires a nonzero point")
-    if abs(abs(alpha) - 1.0) < tol:
+    if abs(abs(alpha) - 1.0) < _UNIMODULAR_TOL:
         s = np.sqrt(alpha)
         return np.array([-1j * s, 1j * np.conj(s)])
     return np.array([-alpha, 1.0 + abs(alpha) ** 2, -np.conj(alpha)])
 
 
-def divide_root(xi, alpha, tol=1e-8):
+def divide_root(xi, alpha):
     """Divide out a common zero of xi at alpha (and at 1/conj(alpha)).
 
     Implements the degree-reduction step for polynomial Killing fields with a
@@ -367,7 +365,7 @@ def divide_root(xi, alpha, tol=1e-8):
     alpha = complex(alpha)
     scale = xi.scale()
     val = evaluate(xi, alpha)
-    if np.max(np.abs(val)) > tol * scale:
+    if np.max(np.abs(val)) > _DIVISION_TOL * scale:
         raise PreconditionError(
             f"xi does not vanish at alpha = {alpha} (|xi(alpha)| = {np.max(np.abs(val)):.3e})"
         )
@@ -380,7 +378,7 @@ def divide_root(xi, alpha, tol=1e-8):
     for i in range(2):
         for j in range(2):
             quo, rem = npoly.polydiv(xi.entry_poly(i, j), p)
-            if rem.size and np.max(np.abs(rem)) > tol * scale:
+            if rem.size and np.max(np.abs(rem)) > _DIVISION_TOL * scale:
                 raise PreconditionError(
                     f"entry ({i},{j}) is not divisible by the removal factor "
                     f"(remainder {np.max(np.abs(rem)):.3e})"
@@ -394,7 +392,7 @@ def divide_root(xi, alpha, tol=1e-8):
     return result
 
 
-def dress_simple_factor(xi, point, tol=1e-10):
+def dress_simple_factor(xi, point):
     """Dress xi by the simple factor at beta, raising the degree by 2.
 
     The conjugated matrix is computed entrywise: the upper-right entry picks
@@ -425,7 +423,7 @@ def dress_simple_factor(xi, point, tol=1e-10):
     return result
 
 
-def isospectral_tangent(xi, alpha, tol=1e-8):
+def isospectral_tangent(xi, alpha):
     """Tangent vector to the isospectral set at a root alpha of det.
 
     Solves xi(alpha) = [Q, xi(alpha)] for a traceless Q (minimum-norm
@@ -437,9 +435,10 @@ def isospectral_tangent(xi, alpha, tol=1e-8):
     scale = xi.scale()
     x = evaluate(xi, alpha)
     xnorm = np.max(np.abs(x))
-    if xnorm < tol * scale:
+    if xnorm < _DIVISION_TOL * scale:
         raise PreconditionError("xi vanishes at alpha; use divide_root instead")
-    if abs(np.linalg.det(x)) > tol * max(1.0, xnorm) ** 2 or abs(np.trace(x)) > tol * xnorm:
+    if (abs(np.linalg.det(x)) > _DIVISION_TOL * max(1.0, xnorm) ** 2
+            or abs(np.trace(x)) > _DIVISION_TOL * xnorm):
         raise PreconditionError("xi(alpha) is not nilpotent; alpha is not a root of det")
     basis = [np.diag([1.0 + 0j, -1.0]), EPS_PLUS, EPS_MINUS]
     cols = [(e @ x - x @ e).reshape(4) for e in basis]
@@ -456,7 +455,7 @@ def isospectral_tangent(xi, alpha, tol=1e-8):
     for i in range(2):
         for j in range(2):
             quo, rem = npoly.polydiv(numer[:, i, j], lin)
-            if rem.size and np.max(np.abs(rem)) > tol * scale:
+            if rem.size and np.max(np.abs(rem)) > _DIVISION_TOL * scale:
                 raise PreconditionError(
                     f"tangent numerator not divisible at alpha (remainder "
                     f"{np.max(np.abs(rem)):.3e})"

@@ -31,6 +31,10 @@ from .errors import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _TWO_PI_I = 2j * np.pi
+_LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta)
+_BRANCH_TOL = 1e-8  # |theta - pi L| below which a real root of b is a double point too
+_SCAN_POINTS = 4001  # grid of the theta scan in real_branch_points
+_AT_TWO_TOL = 1e-6  # ||Delta| - 2| that weighted_genus counts as Delta = +-2
 
 
 @dataclass(frozen=True)
@@ -145,10 +149,15 @@ class BranchEntry:
 # Branch points and sheet tracking.
 
 
+def plane_key(z):
+    """Sort key of a point of the kappa plane: (Re, Im), rounded to 12 decimals."""
+    return round(z.real, 12), round(z.imag, 12)
+
+
 def odd_branch_points(data):
     """Odd-multiplicity branch points, sorted by (Re, Im)."""
     pts = [r.value for r in data.branch_points if r.multiplicity % 2 == 1]
-    return sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return sorted(pts, key=plane_key)
 
 
 def nu_real_positive(data, kappa):
@@ -244,6 +253,11 @@ def _local_gap(obstacles, o):
     return min(others) if others else 1.0
 
 
+def _detour_radius(obstacles, o):
+    """Radius kept clear around o: 0.3 times its gap, clipped to [2e-3, 1]."""
+    return 0.3 * min(max(_local_gap(obstacles, o), 2e-3), 1.0)
+
+
 def _guard_path(data, path):
     obstacles = data.obstacles
     for p, q in zip(path, path[1:]):
@@ -272,7 +286,7 @@ def safe_path(data, start, end, depth=0):
     for o in obstacles:
         if abs(o - start) < 1e-12 or abs(o - end) < 1e-12:
             raise DomainError("path endpoint sits on a branch point")
-        r = 0.3 * min(max(_local_gap(obstacles, o), 2e-3), 1.0)
+        r = _detour_radius(obstacles, o)
         dist = _segment_distance(start, end, o)
         if dist < r and (worst is None or dist < worst[1]):
             worst = (o, dist, r)
@@ -352,7 +366,7 @@ def _base_point(data):
     odd = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
     if not odd:
         return None
-    return sorted(odd, key=lambda z: (abs(z), round(z.real, 12), round(z.imag, 12)))[0]
+    return sorted(odd, key=lambda z: (abs(z),) + plane_key(z))[0]
 
 
 def _integrate_base_leg(data, base, waypoint, tol):
@@ -378,7 +392,7 @@ def _integrate_base_leg(data, base, waypoint, tol):
     return _adaptive(phi, dlnmu, 0.0, 1.0, phi0, tol)
 
 
-def lnmu_at(data, kappa, tol=1e-10, positive_real_branch=True):
+def lnmu_at(data, kappa, positive_real_branch=True):
     """ln mu at kappa with ln mu(base) = 0; returns (value, nu at kappa).
 
     The base is the odd-multiplicity root of a with smallest |kappa| (the
@@ -405,10 +419,10 @@ def lnmu_at(data, kappa, tol=1e-10, positive_real_branch=True):
             raise DomainError("target coincides with the base branch point")
         leg_len = min(0.45 * gap, abs(direction))
         waypoint = base + leg_len * direction / abs(direction)
-        val, nu_val = _integrate_base_leg(data, base, waypoint, tol)
+        val, nu_val = _integrate_base_leg(data, base, waypoint, _LNMU_TOL)
         if abs(waypoint - kappa) > 1e-13:
             path = safe_path(data, waypoint, kappa)
-            more, nu_val = integrate_dlnmu(data, path, nu_start=nu_val, tol=tol)
+            more, nu_val = integrate_dlnmu(data, path, nu_start=nu_val, tol=_LNMU_TOL)
             val += more
     if positive_real_branch and abs(kappa.imag) < 1e-12:
         if abs(nu_val.imag) < 1e-6 * max(abs(nu_val), 1.0) and nu_val.real < 0:
@@ -448,7 +462,7 @@ def homology_cycles(data):
     loops in period_integrals.
     """
     pts = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
-    pts = sorted(pts, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    pts = sorted(pts, key=plane_key)
     if len(pts) % 2 != 0:
         raise InconsistencyError("odd number of odd-multiplicity branch points")
     all_pts = data.obstacles
@@ -490,11 +504,9 @@ def period_integrals(data, tol=1e-10):
     all_pts = data.obstacles
     for root in data.a_roots:
         if root.multiplicity % 2 == 0:
-            rad = 0.3 * min(max(_local_gap(all_pts, root.value), 2e-3), 1.0)
-            loops.append(_circle(root.value, rad, 1))
+            loops.append(_circle(root.value, _detour_radius(all_pts, root.value), 1))
     for pole in (1j, -1j):
-        rad = 0.3 * min(max(_local_gap(all_pts, pole), 2e-3), 1.0)
-        loops.append(_circle(pole, rad, 2))
+        loops.append(_circle(pole, _detour_radius(all_pts, pole), 2))
     return [_loop_integral(data, loop, tol) for loop in loops]
 
 
@@ -547,12 +559,12 @@ def check_conditions(data, tol=1e-8):
     }
 
 
-def delta(data, kappa, tol=1e-10):
+def delta(data, kappa):
     """The trace function Delta = 2 cosh(ln mu(kappa))."""
     kappa = complex(kappa)
     if abs(kappa - 1j) < 1e-9 or abs(kappa + 1j) < 1e-9:
         raise DomainError("Delta has essential behavior at kappa = +-i")
-    val, _ = lnmu_at(data, kappa, tol=tol)
+    val, _ = lnmu_at(data, kappa)
     return 2.0 * cmath.cosh(val)
 
 
@@ -611,17 +623,19 @@ def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
     return 0.5 * (k_lo + k_hi)
 
 
-def real_branch_points(data, window=(-10.0, 10.0), tol=1e-8, n_scan=4001):
+def real_branch_points(data, window=(-10.0, 10.0)):
     """Real zeros of Delta': roots of b plus real solutions of mu = +-1.
 
-    Returns a list of BranchEntry, sorted by kappa, with Delta values and
-    branch orders; entries closer than tol are merged.  Requires a > 0 on the
-    window (no real nodes).
+    Returns BranchEntry items sorted by kappa.  A real root beta of b of
+    multiplicity m with theta = Im ln mu within _BRANCH_TOL of pi L gives
+    (beta, 2(-1)^L, 2m+1, "both"), and the crossings of level L within one
+    scan step of beta (scattered there by rounding of the cumulative theta)
+    are dropped.  Other roots of b are "b_root" of order m, other crossings
+    double points of order 1.  Requires a > 0 on the window (no real nodes).
     """
     lo, hi = float(window[0]), float(window[1])
-    grid, theta = _theta_scan(data, lo, hi, n_scan)
+    grid, theta = _theta_scan(data, lo, hi, _SCAN_POINTS)
 
-    entries = []
     # mu = +-1: crossings of theta through multiples of pi.
     levels_lo = np.floor(theta[:-1] / math.pi)
     levels_hi = np.floor(theta[1:] / math.pi)
@@ -633,7 +647,6 @@ def real_branch_points(data, window=(-10.0, 10.0), tol=1e-8, n_scan=4001):
             if abs(theta[i] / math.pi - round(theta[i] / math.pi)) < 1e-12:
                 crossings.append((grid[i], int(round(theta[i] / math.pi))))
             continue
-        step = 1 if l1 > l0 else -1
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
             k_star = _refine_crossing(data, grid[i], theta[i], grid[i + 1], theta[i + 1], level)
             crossings.append((k_star, level))
@@ -642,58 +655,34 @@ def real_branch_points(data, window=(-10.0, 10.0), tol=1e-8, n_scan=4001):
     crossings.sort(key=lambda c: c[0])
     merged = []
     for k_star, level in crossings:
-        if merged and merged[-1][1] == level and abs(k_star - merged[-1][0]) < max(
-            tol, 1e-7
-        ) * max(1.0, abs(k_star)):
+        same = merged and merged[-1][1] == level
+        if same and abs(k_star - merged[-1][0]) < 1e-7 * max(1.0, abs(k_star)):
             continue
         merged.append((k_star, level))
     crossings = merged
-    for k_star, level in crossings:
-        delta_val = 2.0 * ((-1.0) ** level)
-        theta_prime = (
-            2.0 * math.pi * data.b(k_star)
-            / ((k_star * k_star + 1.0) * float(nu_real_positive(data, k_star)))
-        )
-        if abs(theta_prime) > 1e-8:
-            order = 1
-        else:
-            mult = _b_multiplicity_at(data, k_star, tol)
-            order = 2 * mult + 1
-        entries.append(BranchEntry(k_star, delta_val, order, "double_point"))
 
     # roots of b in the window.
+    at_roots = []
+    step = grid[1] - grid[0]
     for root in data.b_roots:
-        if not root.is_real:
-            continue
         k = root.value.real
-        if not (lo <= k <= hi):
-            continue
-        if any(
-            e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8)
-            for e in entries
-        ):
-            # already counted; retag as a combined point
-            entries = [
-                BranchEntry(e.kappa, e.delta, e.order, "both")
-                if (e.kind == "double_point" and abs(e.kappa - k) < max(tol, 1e-8))
-                else e
-                for e in entries
-            ]
+        if not root.is_real or not lo <= k <= hi:
             continue
         theta_k = lnmu_at(data, k)[0].imag
-        entries.append(BranchEntry(k, 2.0 * math.cos(theta_k), root.multiplicity, "b_root"))
+        level = round(theta_k / math.pi)
+        if abs(theta_k - math.pi * level) < _BRANCH_TOL:
+            order = 2 * root.multiplicity + 1
+            at_roots.append(BranchEntry(k, 2.0 * ((-1.0) ** level), order, "both"))
+            crossings = [c for c in crossings if c[1] != level or abs(c[0] - k) > step]
+        else:
+            at_roots.append(BranchEntry(k, 2.0 * math.cos(theta_k), root.multiplicity, "b_root"))
+    entries = [BranchEntry(k, 2.0 * ((-1.0) ** level), 1, "double_point") for k, level in crossings]
+    entries += at_roots
     entries.sort(key=lambda e: e.kappa.real)
     return entries
 
 
-def _b_multiplicity_at(data, k, tol):
-    for root in data.b_roots:
-        if abs(root.value - k) < max(tol, 1e-6):
-            return root.multiplicity
-    return 0
-
-
-def g_invariant(data, window=None, tol=1e-8):
+def g_invariant(data):
     """Integer invariant: half the non-real zero count of b on the curve, plus
     the number of real double points (mu = +-1), minus one.
 
@@ -710,23 +699,24 @@ def g_invariant(data, window=None, tol=1e-8):
         on_branch = any(abs(root.value - v) < 1e-8 for v in a_root_vals)
         nonreal_curve_points += root.multiplicity * (1 if on_branch else 2)
 
-    if window is None:
-        w = max(
-            [10.0]
-            + [2.0 * abs(r.value) + 1.0 for r in b_roots]
-            + [2.0 * abs(v) + 1.0 for v in a_root_vals]
-            + [2.0 * abs(data.kappa0) + 1.0, 2.0 * abs(data.kappa1) + 1.0]
-        )
-        window = (-w, w)
-        # widen until the phase has flattened out (no crossings can hide
-        # beyond the window: theta tends to a finite limit at +-infinity)
-        for _ in range(6):
-            w0, w1 = window
-            tails = _theta_increments(data, [w1, 2.0 * w0], [2.0 * w1, w0])
-            if np.max(np.abs(tails)) < 1e-6:
-                break
-            window = (2.0 * w0, 2.0 * w1)
-    report = real_branch_points(data, window=window, tol=tol)
+    w = max(
+        [10.0]
+        + [2.0 * abs(r.value) + 1.0 for r in b_roots]
+        + [2.0 * abs(v) + 1.0 for v in a_root_vals]
+        + [2.0 * abs(data.kappa0) + 1.0, 2.0 * abs(data.kappa1) + 1.0]
+    )
+    window = (-w, w)
+    # Double the window at most six times, stopping once theta gains less
+    # than 1e-6 over each of [w, 2w] and [-2w, -w].  theta has a finite limit
+    # at +-infinity, but on rotational data that tail decays only like 1/w,
+    # so all six doublings run and the window ends 64 times wider.
+    for _ in range(6):
+        w0, w1 = window
+        tails = _theta_increments(data, [w1, 2.0 * w0], [2.0 * w1, w0])
+        if np.max(np.abs(tails)) < 1e-6:
+            break
+        window = (2.0 * w0, 2.0 * w1)
+    report = real_branch_points(data, window=window)
     doubles = [e for e in report if e.kind in ("double_point", "both")]
     g_val = nonreal_curve_points // 2 + len(doubles) - 1
     details = {
@@ -739,7 +729,7 @@ def g_invariant(data, window=None, tol=1e-8):
     return g_val, details
 
 
-def weighted_genus(report, tol=1e-6):
+def weighted_genus(report):
     """Sum of weighted branch orders over a supplied report.
 
     Weight: full order away from Delta = +-2; half order (even order) or half
@@ -747,7 +737,7 @@ def weighted_genus(report, tol=1e-6):
     """
     total = 0
     for e in report:
-        at_two = abs(abs(complex(e.delta)) - 2.0) < tol
+        at_two = abs(abs(complex(e.delta)) - 2.0) < _AT_TWO_TOL
         if not at_two:
             total += e.order
         elif e.order % 2 == 0:

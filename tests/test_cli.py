@@ -255,7 +255,8 @@ def _nonfinite_argv(tmp_path, case):
     "case",
     [("check", f, v) for f in ("a", "b", "kappa0") for v in (math.nan, math.inf, -math.inf)]
     + [("delta", "kappa0", math.inf), ("delta", "b", math.nan)]
-    + [("surface", "xi", math.nan), ("surface", "kappa0", math.nan)],
+    + [("surface", "xi", math.nan), ("surface", "kappa0", math.nan)]
+    + [("surface", "kappa1", math.inf)],
     ids=lambda case: "-".join(map(str, case)),
 )
 def test_nonfinite_input_exits_schema(tmp_path, capsys, case):
@@ -264,6 +265,32 @@ def test_nonfinite_input_exits_schema(tmp_path, capsys, case):
     assert code == cli.EXIT_SCHEMA
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "s.obj") and not os.path.exists(tmp_path / "out.txt")
+
+
+_SPECTRAL_OBJ = {"a": [0.25, 0, 1], "b": [0, 0.5], "kappa0": 1, "kappa1": -1}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {k: v for k, v in _SPECTRAL_OBJ.items() if k != "kappa0"},
+        dict(_SPECTRAL_OBJ, a=[[1], [0], [1]]),
+        dict(_SPECTRAL_OBJ, a=[[1, 0, 1]]),
+        dict(_SPECTRAL_OBJ, b=[[0, 0.5]]),
+        dict(_SPECTRAL_OBJ, kappa0=[1]),
+        [_SPECTRAL_OBJ],
+    ],
+    ids=["kappa0-missing", "a-column", "a-row", "b-row", "kappa0-list", "top-level-list"],
+)
+def test_misshapen_spectral_data_exits_schema(tmp_path, capsys, obj):
+    path = str(tmp_path / "data.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    out = tmp_path / "out.json"
+    code = run(["check", path, "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("cmd", ["check", "delta"])

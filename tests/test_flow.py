@@ -158,6 +158,26 @@ def test_flow_reuses_step_monitors(revolution_quarter, monkeypatch):
         assert row.monitors == monitors(row.data)
 
 
+def test_flow_stops_after_repeated_monitor_rejections(revolution_quarter, monkeypatch):
+    # the zero driver's steps have error estimate 0; monitors that reject every
+    # step after the initial state halve dt until the 41st rejection stops the flow
+    calls = []
+
+    def rejecting(data):
+        calls.append(data)
+        worst = 0.0 if len(calls) == 1 else 1.0
+        return {"res_C0": worst, "res_C1": worst, "res_B": worst}
+
+    monkeypatch.setattr(flow, "_monitors", rejecting)
+    traj, status = flow.flow_integrate(revolution_quarter, lambda d: _poly(0.0), 0.01)
+    assert status == {
+        "completed": False,
+        "reason": "step size collapsed under monitor rejections",
+        "t_reached": 0.0,
+    }
+    assert len(traj) == 1 and len(calls) == 42
+
+
 def test_flow_rejects_nonpositive_time(revolution_quarter):
     with pytest.raises(PreconditionError):
         flow.flow_integrate(revolution_quarter, lambda d: _poly(0.0), 0.0)

@@ -140,7 +140,7 @@ def test_fourier_loop_round_trip():
     coeffs = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
     loop = iw.FourierLoop(2, coeffs)
     samples = loop.samples(32)
-    back = iw.loop_from_samples(samples, tail_tol=1e-10)
+    back = iw.loop_from_samples(samples)
     lam = _circle(7)
     assert np.max(np.abs(back.evaluate(lam) - loop.evaluate(lam))) < 1e-12
 
@@ -198,7 +198,7 @@ def test_frame_values_spans_chunks(delaunay_xi, monkeypatch):
 def test_transport_shares_the_frame(delaunay_xi):
     z = 0.4 - 0.7j
     fp = iw.frame(delaunay_xi, z)
-    zeta, resid = iw.transport(delaunay_xi, fp, return_residual=True)
+    zeta, resid = iw.transport(delaunay_xi, fp)
     assert resid < 1e-10
     assert np.array_equal(zeta.coeffs, iw.killing_field(delaunay_xi, z).coeffs)
     # F(z0 + w) = F(z0) F_zeta(w)

@@ -91,7 +91,7 @@ def test_find_roots_double_root():
     roots = la.find_roots(np.array([1.0, 2.0, 1.0]))  # (1+lam)^2
     assert len(roots) == 1
     r = roots[0]
-    assert r.multiplicity == 2 and r.is_real and r.is_unimodular
+    assert r.multiplicity == 2 and r.is_real
 
 
 def test_find_roots_conjugate_pair():

@@ -150,6 +150,35 @@ def test_real_branch_points_revolution(revolution_quarter):
     assert np.allclose(kappas, [-1.0, 1.0], atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(-10.0, 10.0), (-1.0, 1.0), (-640.0, 640.0), (-3.0, 3.0), (-2.9, 3.1)],
+    ids=lambda w: f"{w[0]:g}..{w[1]:g}",
+)
+def test_real_branch_points_tangency_at_root_of_b(window):
+    # Delta(0) = 2 cos(2 pi sqrt(1/4)) = -2 at the root of b = 3k/4: theta is
+    # tangent to pi there, which makes k = 0 one branch point of order 3,
+    # whatever the window and its scan grid
+    data = sp.SpectralData(
+        la.RealPolynomial(np.array([0.25, 0.0, 1.0])),
+        la.RealPolynomial(np.array([0.0, 0.75])),
+        2.0,
+        -2.0,
+    )
+    report = sp.real_branch_points(data, window=window)
+    assert [(e.kind, e.order) for e in report] == [("both", 3)]
+    assert report[0].kappa == 0.0 and report[0].delta == -2.0
+
+
+def test_g_invariant_counts_nonreal_roots_of_b():
+    # roots of b off the branch points count twice (both sheets), on them once
+    a = la.RealPolynomial(np.array([0.25, 0.0, 1.0]))
+    for b0, count in ((0.3, 4), (0.25, 2)):
+        data = sp.SpectralData(a, la.RealPolynomial(np.array([b0, 0.0, 1.0])), 2.0, -2.0)
+        _, details = sp.g_invariant(data)
+        assert details["nonreal_curve_points"] == count
+
+
 def test_g_invariant(clifford_data, revolution_quarter):
     g_c, det_c = sp.g_invariant(clifford_data)
     assert g_c == 2
