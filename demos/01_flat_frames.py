@@ -30,8 +30,7 @@ print(f"worst frame deviation: {worst:.3e}")
 
 # Sample the immersion from the closed form and measure H and the Hopf
 # coefficient from finite differences of the embedding.
-fn = immersion.frame_fn_from_closed_form(families.flat_frame, marked)
-sample = immersion.sample_surface(fn, marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
+sample = immersion.sample_surface(families.flat_frame, marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
 h_exp, q_exp, _ = immersion.expected_invariants(marked)
 h_num = float(np.nanmean(sample.interior(sample.h_num)))
 q_num = complex(np.nanmean(sample.interior(sample.q_num)))

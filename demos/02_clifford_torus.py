@@ -28,9 +28,8 @@ for lam in (1j, -1j):
     print(f"Delta({lam}) = {d:.6f}")
 
 # A period-sized rectangle; stitching both directions closes the torus.
-fn = immersion.frame_fn_from_closed_form(families.flat_frame, marked)
 nx = 49
-sample = immersion.sample_surface(fn, marked, (0.0, w1, 0.0, w1), nx, nx)
+sample = immersion.sample_surface(families.flat_frame, marked, (0.0, w1, 0.0, w1), nx, nx)
 path = immersion.export_mesh(
     sample, "clifford_torus.obj", stitch_x=True, stitch_y=True, pole=[1.0, 1.0, 1.0, 1.0]
 )

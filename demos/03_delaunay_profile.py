@@ -33,9 +33,8 @@ per = families.delaunay_period(params)
 print(f"profile period: {per:.6f}")
 h = 0.01
 y0 = per / 2.0
-fn = immersion.frame_fn_from_xi(xi, marked)
 sample = immersion.sample_surface(
-    fn, marked, (-2 * h, 2 * h, y0 - 2 * h, y0 + per + 2 * h), 5, 5
+    immersion.TiledFrames(xi), marked, (-2 * h, 2 * h, y0 - 2 * h, y0 + per + 2 * h), 5, 5
 )
 mid = len(sample.x) // 2
 worst = 0.0

@@ -123,31 +123,29 @@ def _surface_setup(args):
         except CMCError as exc:
             raise _CheckFailed(f"loop_algebra: xi validation failed: {exc}")
         marked = immersion.MarkedPoints.from_kappa(args.kappa0, args.kappa1)
-        return immersion.frame_fn_from_xi(xi, marked), marked, xi
+        return immersion.TiledFrames(xi), marked, xi
     if fam in ("flat", "clifford"):
         t0 = math.pi / 4 if fam == "clifford" else args.t0
         xi, marked = families.flat_xi(t0)
-        fn = immersion.frame_fn_from_closed_form(families.flat_frame, marked)
-        return fn, marked, xi
+        return families.flat_frame, marked, xi
     if fam == "sphere":
         marked = immersion.MarkedPoints.from_kappa(args.kappa0, args.kappa1)
-        fn = immersion.frame_fn_from_closed_form(families.sphere_frame, marked)
-        return fn, marked, None
+        return families.sphere_frame, marked, None
     if fam == "delaunay":
         params = families.DelaunayParams(args.a_r, args.b_r)
         xi = families.delaunay_xi(params)
         marked = immersion.MarkedPoints.from_kappa(args.kappa0, args.kappa1)
-        return immersion.frame_fn_from_xi(xi, marked), marked, xi
+        return immersion.TiledFrames(xi), marked, xi
     raise _SchemaError("surface needs --family sphere/flat/clifford/delaunay or --xi FILE")
 
 
 def cmd_surface(args):
-    fn, marked, xi = _surface_setup(args)
+    frames, marked, xi = _surface_setup(args)
     nx, ny = args.grid
     if nx < 8 or ny < 8:
         raise _SchemaError("grid must be at least 8x8")
     domain = tuple(args.domain)
-    sample = immersion.sample_surface(fn, marked, domain, nx, ny)
+    sample = immersion.sample_surface(frames, marked, domain, nx, ny)
     h_exp, q_exp, _ = immersion.expected_invariants(marked)
     if xi is not None:
         q_exp = q_exp * immersion.hopf_scale(xi)
@@ -174,7 +172,7 @@ def cmd_surface(args):
         # ny is rounded so the y spacing matches the x spacing
         "grid_effective": [len(sample.x), len(sample.y)],
         # worst factorization defects over the grid; None for closed-form frames
-        "frame_defects": getattr(fn, "defects", None),
+        "frame_defects": getattr(frames, "defects", None),
     }
     checks = [
         h_dev < args.tol_geom * max(1.0, abs(h_exp)),
@@ -318,8 +316,9 @@ def cmd_delta(args):
         flag = abs(d) <= 2.0 + args.tol
         all_in_range = all_in_range and flag
         lines.append(f"{k:.9g},{d:.9g},{int(flag)}")
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    # the branch report can fail (e.g. a <= 0 on the window): write nothing before it
     branch = sp.real_branch_points(data, window=(lo, hi))
+    _write_atomic(args.out, "\n".join(lines) + "\n")
     if args.report:
         _write_json(
             args.report,

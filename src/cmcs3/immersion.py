@@ -8,7 +8,7 @@ differential, checks periodicity, flows along normals, and exports meshes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import iwasawa
 from . import loop_algebra as la
 from .errors import ConvergenceError, DomainError, PreconditionError
 
-# Side of the square tiles that frame_fn_from_xi splits a grid into.  Each
+# Side of the square tiles that TiledFrames splits a grid into.  Each
 # tile costs one direct factorization; a wider tile lengthens the offset
 # loops exp(w zeta0): degree 4-6 for Delaunay fields at |w| <= 1.4, against
 # 7-8 for exp(z xi) at |z| = 5.
@@ -69,6 +69,10 @@ class MarkedPoints:
     @property
     def mean_curvature(self):
         return float((1j * (self.lam0 + self.lam1) / (self.lam0 - self.lam1)).real)
+
+    @property
+    def lams(self):
+        return np.array([self.lam0, self.lam1])
 
 
 def expected_invariants(marked):
@@ -128,88 +132,69 @@ def _tiles(zs):
     return [np.nonzero(inverse == t)[0] for t in range(inverse.max() + 1)]
 
 
-class _TiledFrames:
-    """Frame supplier backed by the loop-group factorization (see frame_fn_from_xi)."""
+class TiledFrames:
+    """Frame supplier backed by the loop-group factorization, vectorized over z.
 
-    def __init__(self, xi, marked):
+    frames(zs, lams) returns F(z)(lam) with shape zs.shape + lams.shape +
+    (2, 2), like the closed forms of the families.  The points are split
+    into tiles of side at most _TILE.  Each tile's anchor z0, its point
+    farthest from the origin, is factorized directly, and the rest of the
+    tile follows from F(z0 + w) = F(z0) F_zeta0(w), where
+    zeta0 = F(z0)^{-1} xi F(z0) is the transported Killing field: one
+    stacked factorization of exp(w zeta0) over the tile's offsets w.  After
+    a call, .defects holds the largest unitarity and reconstruction defects
+    over the grid and the number of anchors.
+    """
+
+    def __init__(self, xi):
         self.xi = xi
-        self.lams = np.array([marked.lam0, marked.lam1])
         self.defects = None
 
-    def __call__(self, zs):
+    def __call__(self, zs, lams):
         zs = np.asarray(zs, dtype=complex)
-        flat = zs.ravel()
-        vals = np.empty((flat.size, 2, 2, 2), dtype=complex)
+        lams = np.asarray(lams, dtype=complex)
+        flat, lam_flat = zs.ravel(), lams.ravel()
+        vals = np.empty((flat.size, lam_flat.size, 2, 2), dtype=complex)
         tiles = [(flat[idx][np.argmax(np.abs(flat[idx]))], idx) for idx in _tiles(flat)]
         # the tile reaching farthest out is the likeliest to fail: factor it first
         tiles.sort(key=lambda tile: -abs(tile[0]))
         unit = recon = 0.0
         for z0, idx in tiles:
             fp = iwasawa.frame(self.xi, z0)
-            f_z0 = fp.f.evaluate(self.lams)
+            f_z0 = fp.f.evaluate(lam_flat)
             vals[idx] = f_z0
             unit = max(unit, fp.unitarity_defect)
             recon = max(recon, fp.reconstruction_defect)
             rest = idx[flat[idx] != z0]
             if rest.size:
                 zeta, _ = iwasawa.transport(self.xi, fp)
-                local, u, r = iwasawa.frame_values(zeta, flat[rest] - z0, self.lams)
+                local, u, r = iwasawa.frame_values(zeta, flat[rest] - z0, lam_flat)
                 vals[rest] = iwasawa.mul2(f_z0, local)
                 unit = max(unit, float(u.max()))
                 recon = max(recon, float(r.max()))
         self.defects = {"unitarity_max": unit, "reconstruction_max": recon,
                         "anchors": len(tiles)}
-        vals = vals.reshape(zs.shape + (2, 2, 2))
-        return vals[..., 0, :, :], vals[..., 1, :, :]
+        return vals.reshape(zs.shape + lams.shape + (2, 2))
 
 
-def frame_fn_from_xi(xi, marked):
-    """Frame supplier backed by the loop-group factorization, vectorized over z.
-
-    fn(zs) returns the frames (F0s, F1s) at the two marked points, each of
-    shape zs.shape + (2, 2); a scalar z gives a pair of 2x2 matrices.  The
-    points are split into tiles of side at most _TILE.  Each tile's anchor
-    z0, its point farthest from the origin, is factorized directly, and the
-    rest of the tile follows from F(z0 + w) = F(z0) F_zeta0(w), where
-    zeta0 = F(z0)^{-1} xi F(z0) is the transported Killing field: one
-    stacked factorization of exp(w zeta0) over the tile's offsets w.  After
-    a call, fn.defects holds the largest unitarity and reconstruction
-    defects over the grid and the number of anchors.
-    """
-    return _TiledFrames(xi, marked)
-
-
-def frame_fn_from_closed_form(closed_frame, marked):
-    """Frame supplier from a closed-form frame function (zs, lam) -> SU(2).
-
-    closed_frame must broadcast over an array of z; fn(zs) returns the pair
-    (F0s, F1s), each of shape zs.shape + (2, 2).
-    """
-    lams = np.array([marked.lam0, marked.lam1])
-
-    def fn(zs):
-        vals = closed_frame(zs, lams)
-        return vals[..., 0, :, :], vals[..., 1, :, :]
-
-    return fn
-
-
-@dataclass
+@dataclass(frozen=True)
 class SurfaceSample:
+    """A sampled surface with its first/second-order fields (see derive_geometry)."""
+
     marked: MarkedPoints
     x: np.ndarray  # (nx,)
     y: np.ndarray  # (ny,)
     f: np.ndarray  # (ny, nx, 2, 2)
     n: np.ndarray  # (ny, nx, 2, 2)
-    f4: np.ndarray = field(default=None)
-    n4: np.ndarray = field(default=None)
-    u: np.ndarray = field(default=None)
-    v: np.ndarray = field(default=None)
-    h_num: np.ndarray = field(default=None)
-    q_num: np.ndarray = field(default=None)
-    k1: np.ndarray = field(default=None)
-    k2: np.ndarray = field(default=None)
-    conformality: np.ndarray = field(default=None)
+    f4: np.ndarray
+    n4: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    h_num: np.ndarray
+    q_num: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    conformality: np.ndarray
 
     @property
     def h(self):
@@ -232,13 +217,23 @@ def _dot4(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def derive_geometry(sample):
-    """Fill the first/second-order fields of a sampled surface in place."""
-    h = sample.h
-    hmc, _, vscale = expected_invariants(sample.marked)
-    f4 = su2_to_r4(sample.f)
-    n4 = su2_to_r4(sample.n)
-    sample.f4, sample.n4 = f4, n4
+def derive_geometry(marked, x, y, f, n):
+    """The SurfaceSample of the points f and normals n on the grid (x, y).
+
+    Raises ConvergenceError when a point leaves SU(2) or the unit sphere, or
+    a normal is not orthogonal to its point.
+    """
+    det = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+    if np.max(np.abs(det - 1.0)) > 1e-8:
+        raise ConvergenceError("immersion points left SU(2): det defect")
+    f4 = su2_to_r4(f)
+    n4 = su2_to_r4(n)
+    if np.max(np.abs(_dot4(f4, f4) - 1.0)) > 1e-8:
+        raise ConvergenceError("immersion points left the unit sphere")
+    if np.max(np.abs(_dot4(f4, n4))) > 1e-6:
+        raise ConvergenceError("normal is not orthogonal to the position")
+    h = float(x[1] - x[0])
+    _, _, vscale = expected_invariants(marked)
 
     fx = _central_diff(f4, h, axis=1)
     fy = _central_diff(f4, h, axis=0)
@@ -251,11 +246,9 @@ def derive_geometry(sample):
     # Conformal factor from the complexified first derivatives: the metric is
     # v^2 (dx^2+dy^2) with v^2 = 2 <f_z, f_zbar>.
     v_sq = 2.0 * _dot4(fz, fzb)
-    sample.conformality = np.abs(_dot4(fz, fz))
     v = np.sqrt(np.maximum(v_sq.real, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sample.v = v
-        sample.u = np.log(v * vscale)
+        u = np.log(v * vscale)
 
     e = _dot4(fx, fx)
     ff = _dot4(fx, fy)
@@ -268,50 +261,35 @@ def derive_geometry(sample):
         mean = (e * n2 - 2.0 * ff * m + g * l) / (2.0 * det_i)
         gauss = (l * n2 - m * m) / det_i
         disc = np.sqrt(np.maximum(mean * mean - gauss, 0.0))
-        sample.h_num = mean
-        sample.k1 = mean + disc
-        sample.k2 = mean - disc
-    sample.q_num = _dot4(fz, nz)
-    return sample
+    return SurfaceSample(
+        marked, x, y, f, n, f4, n4, u, v, h_num=mean, q_num=_dot4(fz, nz),
+        k1=mean + disc, k2=mean - disc, conformality=np.abs(_dot4(fz, fz)),
+    )
 
 
-def sample_surface(frame_fn, marked, domain, nx, ny):
+def sample_surface(frames, marked, domain, nx, ny):
     """Sample the immersion and its normal over a rectangle in z = x + iy.
 
     domain is (x_min, x_max, y_min, y_max); the grid spacing must be equal in
     both directions for the finite-difference stencils, so ny is adjusted to
     the nearest count with matching spacing if necessary (len(sample.y) is
-    the count used).  frame_fn is vectorized: it gets the whole grid of z,
-    shape (ny, nx), in one call and returns the frame pair at the marked
-    points, each of shape (ny, nx, 2, 2).
+    the count used).  frames is a frame supplier: frames(zs, lams) gets the
+    whole grid of z, shape (ny, nx), and marked.lams in one call and returns
+    the frames of shape (ny, nx, 2, 2, 2).  The closed forms of the families
+    and TiledFrames are frame suppliers.
     """
     x0, x1, y0, y1 = domain
     x = np.linspace(x0, x1, nx)
     hx = x[1] - x[0]
     ny_eff = max(int(round((y1 - y0) / hx)) + 1, 5)
     y = y0 + hx * np.arange(ny_eff)
-    f0, f1 = frame_fn(x[None, :] + 1j * y[:, None])
-    sample = SurfaceSample(marked=marked, x=x, y=y, f=sym_bobenko(f0, f1), n=normal(f0, f1))
-    _validate_pointwise(sample)
-    return derive_geometry(sample)
-
-
-def _validate_pointwise(sample):
-    det = sample.f[..., 0, 0] * sample.f[..., 1, 1] - sample.f[..., 0, 1] * sample.f[..., 1, 0]
-    if np.max(np.abs(det - 1.0)) > 1e-8:
-        raise ConvergenceError("immersion points left SU(2): det defect")
-    f4 = su2_to_r4(sample.f)
-    n4 = su2_to_r4(sample.n)
-    if np.max(np.abs(_dot4(f4, f4) - 1.0)) > 1e-8:
-        raise ConvergenceError("immersion points left the unit sphere")
-    if np.max(np.abs(_dot4(f4, n4))) > 1e-6:
-        raise ConvergenceError("normal is not orthogonal to the position")
+    vals = frames(x[None, :] + 1j * y[:, None], marked.lams)
+    f0, f1 = vals[..., 0, :, :], vals[..., 1, :, :]
+    return derive_geometry(marked, x, y, sym_bobenko(f0, f1), normal(f0, f1))
 
 
 def sinh_gordon_residual(sample):
     """Residual field R = (u_xx + u_yy)/2 + sinh(2u) and its interior max."""
-    if sample.u is None:
-        raise PreconditionError("derive_geometry must run before the residual check")
     u = sample.u
     h = sample.h
     lap = np.full_like(u, np.nan)
@@ -328,7 +306,7 @@ def sinh_gordon_residual(sample):
 def _marked_monodromy(xi, marked, tau):
     """The monodromy M(tau) at the two marked points, stacked as (2, 2, 2)."""
     loop, _ = iwasawa.monodromy(xi, tau)
-    return loop.evaluate(np.array([marked.lam0, marked.lam1]))
+    return loop.evaluate(marked.lams)
 
 
 def periodicity_check(xi, marked, tau, tol=1e-6):
@@ -401,8 +379,6 @@ def find_period(xi, marked, tau_guess):
 
 def focal_distance(sample):
     """Smallest focal parameter over the interior vertices."""
-    if sample.k1 is None:
-        derive_geometry(sample)
     kmax = np.maximum(sample.k1, sample.k2)
     t_foc = np.arctan2(1.0, kmax)  # arctan(1/kmax) with the right quadrant
     return float(np.nanmin(t_foc[1:-1, 1:-1]))
@@ -415,8 +391,7 @@ def parallel_surface(sample, t):
         raise DomainError(f"flow parameter {t} beyond the focal distance {t_foc:.6f}")
     f_t = math.cos(t) * sample.f + math.sin(t) * sample.n
     n_t = -math.sin(t) * sample.f + math.cos(t) * sample.n
-    out = SurfaceSample(marked=sample.marked, x=sample.x, y=sample.y, f=f_t, n=n_t)
-    derive_geometry(out)
+    out = derive_geometry(sample.marked, sample.x, sample.y, f_t, n_t)
     with np.errstate(divide="ignore", invalid="ignore"):
         h_expected = 0.5 * (
             1.0 / np.tan(np.arctan2(1.0, sample.k1) - t)
@@ -427,8 +402,6 @@ def parallel_surface(sample, t):
 
 def stereographic(sample, pole=None):
     """Project the R^4 point cloud to R^3 from a pole on the sphere."""
-    if sample.f4 is None:
-        derive_geometry(sample)
     if pole is None:
         pole = np.array([-1.0, 0.0, 0.0, 0.0])
     pole = np.asarray(pole, dtype=float)
@@ -476,8 +449,6 @@ def export_mesh(sample, path, stitch_x=False, stitch_y=False, pole=None):
 
 def write_surface_csv(sample, path):
     """Dump the per-vertex fields as CSV (9 significant digits; NaN Q as nan,nan)."""
-    if sample.u is None:
-        derive_geometry(sample)
     ny, nx = sample.f4.shape[:2]
     q = sample.q_num
     cols = [

@@ -142,15 +142,20 @@ class FourierLoop:
         return np.fft.ifft(pad, axis=-3) * m
 
     def trimmed(self):
-        """Drop the outer modes below _TAIL_TOL relative to each loop's largest one."""
-        norms = np.max(np.abs(self.coeffs), axis=(-2, -1)).reshape(-1, 2 * self.n + 1)
-        scale = np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
-        keep = np.nonzero(np.any(norms > _TAIL_TOL * scale, axis=0))[0]
-        if keep.size == 0:
-            return FourierLoop(0, np.zeros(self.coeffs.shape[:-3] + (1, 2, 2), complex))
-        half = max(abs(int(keep[0]) - self.n), abs(int(keep[-1]) - self.n))
-        lo, hi = self.n - half, self.n + half
-        return FourierLoop(half, self.coeffs[..., lo: hi + 1, :, :])
+        """Drop the outer modes outside the significant band (see _band)."""
+        half = _band(self.coeffs, np.arange(-self.n, self.n + 1))
+        return FourierLoop(half, self.coeffs[..., self.n - half: self.n + half + 1, :, :])
+
+
+def _band(coeffs, ks):
+    """Largest |k| of a mode above _TAIL_TOL times its loop's largest mode.
+
+    coeffs holds the modes k = ks along axis -3; a stack keeps the widest
+    significant band of its loops.
+    """
+    norms = np.max(np.abs(coeffs), axis=(-2, -1)).reshape(-1, len(ks))
+    cut = _TAIL_TOL * np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
+    return int(np.max(np.abs(ks[np.any(norms > cut, axis=0)]), initial=0))
 
 
 def identity_loop():
@@ -171,23 +176,13 @@ def coeffs_from_samples(samples):
 
 
 def loop_from_samples(samples):
-    """Build a FourierLoop (or a stack) from circle samples, or None if a tail is fat.
-
-    Each loop's modes are judged against _TAIL_TOL times its own largest mode;
-    a stack keeps the widest significant band of its loops.
-    """
+    """Build a FourierLoop (or a stack) of the significant band (see _band) of
+    circle samples, or None if the band reaches a quarter of the sample count."""
     ks, cs = coeffs_from_samples(samples)
-    m = samples.shape[-3]
-    norms = np.max(np.abs(cs), axis=(-2, -1)).reshape(-1, m)
-    cut = _TAIL_TOL * np.maximum(norms.max(axis=1, keepdims=True), 1e-300)
-    if np.any(norms[:, np.abs(ks) >= m // 4] > cut):
+    half = _band(cs, ks)
+    if half >= samples.shape[-3] // 4:
         return None
-    sig = np.nonzero(np.any(norms > cut, axis=0))[0]
-    half = int(max(abs(ks[sig[0]]), abs(ks[sig[-1]]))) if sig.size else 0
-    mask = np.abs(ks) <= half
-    out = np.zeros(samples.shape[:-3] + (2 * half + 1, 2, 2), dtype=complex)
-    out[..., ks[mask] + half, :, :] = cs[..., mask, :, :]
-    return FourierLoop(half, out)
+    return FourierLoop(half, cs[..., np.abs(ks) <= half, :, :])
 
 
 def exp_loop(xi, z):
@@ -225,23 +220,27 @@ def _sample_count(n):
     return m
 
 
+def _blocks(n):
+    """Block rows of the Bauer section for a degree-n loop (>= band + 2 = 2n + 2)."""
+    return max(4 * n, 8)
+
+
 def _stack_bytes(n):
     """Working memory of factorizing one degree-n loop (see _STACK_BYTES)."""
-    blocks = max(4 * n, 8)
-    return 16 * (2 * (2 * blocks) ** 2 + 64 * _sample_count(n))
+    return 16 * (2 * (2 * _blocks(n)) ** 2 + 64 * _sample_count(n))
 
 
-def _bauer_factor(s_band, band, blocks):
+def _bauer_factor(s_band, n):
     """Spectral factor coefficients from a block-Toeplitz Cholesky section.
 
-    s_band[..., k + band, :, :] holds S_k for |k| <= band.  Factors the
-    finite section T[i, j] = S_{j-i} as U^H U and reads B_0 ... B_{band} from
-    the last fully banded block row of U, where the recursion has converged;
-    then S(lam) = B(lam)^* B(lam) on the circle with B_0 upper triangular,
-    positive diagonal.  A stack of S gives a stack of B in one batched
-    Cholesky call.
+    s_band[..., k + band, :, :] holds S_k for |k| <= band = 2n.  Factors the
+    finite section T[i, j] = S_{j-i} of _blocks(n) block rows as U^H U and
+    reads B_0 ... B_{band} from the last fully banded block row of U, where
+    the recursion has converged; then S(lam) = B(lam)^* B(lam) on the circle
+    with B_0 upper triangular, positive diagonal.  A stack of S gives a stack
+    of B in one batched Cholesky call.
     """
-    m = max(blocks, band + 2)
+    band, m = 2 * n, _blocks(n)
     stack = s_band.shape[:-3]
     # conj(T) = L L^H, so T = U^H U with U = L^T.  Entry (2i+a, 2j+b) of
     # conj(T) is entry (a, b) of conj(S_{j-i}): one gather from the padded
@@ -263,11 +262,10 @@ def _bauer_factor(s_band, band, blocks):
     )
 
 
-def _plus_samples(b_coeffs, m):
-    """Circle samples of the plus loops with coefficients B_0 ... B_band."""
-    pad = np.zeros(b_coeffs.shape[:-3] + (m, 2, 2), dtype=complex)
-    pad[..., : b_coeffs.shape[-3], :, :] = b_coeffs
-    return np.fft.ifft(pad, axis=-3) * m
+def _plus_loop(b_coeffs):
+    """The plus loops with coefficients B_0 ... B_band, as a FourierLoop of degree band."""
+    acausal = np.zeros_like(b_coeffs[..., 1:, :, :])
+    return FourierLoop(b_coeffs.shape[-3] - 1, np.concatenate([acausal, b_coeffs], axis=-3))
 
 
 def _unitary_polish(f_samples):
@@ -315,8 +313,8 @@ def iwasawa_factor(phi):
     while True:
         phi_s = phi.samples(m)
         ks, s_cs = coeffs_from_samples(mul2(adjoint2(phi_s), phi_s))
-        b_coeffs = _bauer_factor(s_cs[..., np.abs(ks) <= band, :, :], band, max(4 * n, 8))
-        f_s = mul2(phi_s, inv2_general(_plus_samples(b_coeffs, m)))
+        b_coeffs = _bauer_factor(s_cs[..., np.abs(ks) <= band, :, :], n)
+        f_s = mul2(phi_s, inv2_general(_plus_loop(b_coeffs).samples(m)))
         seed = float(np.max(_unitarity_defect(f_s)))
         if seed > 1e-3:
             raise ConvergenceError(
@@ -345,18 +343,13 @@ def iwasawa_factor(phi):
                 raise ConvergenceError("unitary factor tail not resolved", residual=None)
             m *= 2
             continue
-        b_centered = np.zeros(b_coeffs.shape[:-3] + (2 * band + 1, 2, 2), dtype=complex)
-        b_centered[..., band:, :, :] = b_coeffs
-        b_loop = FourierLoop(band, b_centered).trimmed()
+        b_loop = _plus_loop(b_coeffs).trimmed()
         recon_err = mul2(f_loop.samples(m), b_loop.samples(m)) - phi_s
         recon = _per_loop_max(recon_err) / np.maximum(_per_loop_max(phi.coeffs), 1e-300)
+        worst = float(np.max(recon))
+        if worst > 100 * _FRAME_TOL:
+            raise ConvergenceError(f"reconstruction defect {worst:.3e}", residual=worst)
         return f_loop, b_loop, defect, recon
-
-
-def _check_reconstruction(recon):
-    worst = float(np.max(recon))
-    if worst > 100 * _FRAME_TOL:
-        raise ConvergenceError(f"reconstruction defect {worst:.3e}", residual=worst)
 
 
 def frame(xi, z):
@@ -364,7 +357,6 @@ def frame(xi, z):
     if z == 0:
         return FramePoint(identity_loop(), identity_loop(), 0.0, 0.0)
     f, b, defect, recon = iwasawa_factor(exp_loop(xi, z))
-    _check_reconstruction(recon)
     return FramePoint(f, b, float(defect), float(recon))
 
 
@@ -388,7 +380,6 @@ def frame_values(xi, zs, lams):
     for i in range(0, zs.size, step):
         part = order[i: i + step]
         f, _, unit[part], recon[part] = iwasawa_factor(exp_loop(xi, zs[part]))
-        _check_reconstruction(recon[part])
         vals[part] = f.evaluate(lams)
     return vals, unit, recon
 
@@ -399,9 +390,7 @@ def transport(xi, fp):
     The conjugated loop is re-projected onto Laurent degrees -1..g; the
     dropped energy is the projection residual.  Returns (zeta, residual).
     """
-    m = 1
-    while m < max(8 * (fp.f.n + xi.g + 2), 64):
-        m *= 2
+    m = _sample_count(fp.f.n + xi.g + 1)
     lam = circle_points(m)
     f_s = fp.f.samples(m)
     zeta_s = mul2(mul2(inv2_general(f_s), la.evaluate(xi, lam)), f_s)

@@ -129,6 +129,10 @@ class SpectralData:
 
     @classmethod
     def from_json(cls, obj):
+        for key in ("a", "b", "kappa0", "kappa1"):  # float() would take "1", true and null
+            leaves = np.ravel(np.array(obj[key], dtype=object))
+            if any(isinstance(v, (bool, str)) or v is None for v in leaves):
+                raise TypeError(f"{key} must hold JSON numbers")
         return cls(
             la.RealPolynomial(np.asarray(obj["a"], dtype=float)),
             la.RealPolynomial(np.asarray(obj["b"], dtype=float)),
@@ -392,15 +396,14 @@ def _integrate_base_leg(data, base, waypoint, tol):
     return _adaptive(phi, dlnmu, 0.0, 1.0, phi0, tol)
 
 
-def lnmu_at(data, kappa, positive_real_branch=True):
+def lnmu_at(data, kappa):
     """ln mu at kappa with ln mu(base) = 0; returns (value, nu at kappa).
 
     The base is the odd-multiplicity root of a with smallest |kappa| (the
     differential is antisymmetric under the sheet swap, so ln mu lies in
     pi i Z at every branch point; any base gives the same mu(kappa_j) = +-1
     verdict).  When a is a perfect square the closed form is used instead.
-    For real kappa the sheet is normalized so nu > 0 unless
-    positive_real_branch is disabled.
+    For real kappa the sheet is normalized so nu > 0.
     """
     kappa = complex(kappa)
     cf = data.closed_form
@@ -424,7 +427,7 @@ def lnmu_at(data, kappa, positive_real_branch=True):
             path = safe_path(data, waypoint, kappa)
             more, nu_val = integrate_dlnmu(data, path, nu_start=nu_val, tol=_LNMU_TOL)
             val += more
-    if positive_real_branch and abs(kappa.imag) < 1e-12:
+    if abs(kappa.imag) < 1e-12:
         if abs(nu_val.imag) < 1e-6 * max(abs(nu_val), 1.0) and nu_val.real < 0:
             val, nu_val = -val, -nu_val
     return val, nu_val
@@ -575,8 +578,8 @@ def involution_residual(data, kappas):
     """
     worst = 0.0
     for k in kappas:
-        l1, n1 = lnmu_at(data, k, positive_real_branch=False)
-        l2, n2 = lnmu_at(data, np.conj(k), positive_real_branch=False)
+        l1, n1 = lnmu_at(data, k)
+        l2, n2 = lnmu_at(data, np.conj(k))
         if abs(n2 - np.conj(n1)) > abs(n2 + np.conj(n1)):
             l2 = -l2
         worst = max(worst, _dist_to_2pii(l2 + np.conj(l1)))

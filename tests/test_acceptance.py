@@ -39,10 +39,9 @@ def test_01_flat_frame_oracle(flat_pi4):
 
 def test_02_clifford_periodicity(rng, minimal_marked):
     taus = (math.pi * math.sqrt(2.0), 1j * math.pi * math.sqrt(2.0))
-    lams = np.array([minimal_marked.lam0, minimal_marked.lam1])
 
     def f_at(z):
-        vals = families.flat_frame(z, lams)
+        vals = families.flat_frame(z, minimal_marked.lams)
         return im.sym_bobenko(vals[0], vals[1])
 
     probes = rng.uniform(-2.0, 2.0, size=(100, 2))
@@ -88,10 +87,8 @@ def test_05_delaunay_metric(delaunay_xi, delaunay_params):
     per = families.delaunay_period(delaunay_params)
     h = 0.005
     y0 = per / 2.0
-    fn = im.frame_fn_from_xi(delaunay_xi, marked)
-    sample = im.sample_surface(
-        fn, marked, (-2.0 * h, 2.0 * h, y0 - 2.0 * h, y0 + per + 2.0 * h), 5, 5
-    )
+    domain = (-2.0 * h, 2.0 * h, y0 - 2.0 * h, y0 + per + 2.0 * h)
+    sample = im.sample_surface(im.TiledFrames(delaunay_xi), marked, domain, 5, 5)
     mid = len(sample.x) // 2
     worst = 0.0
     for iy in range(1, len(sample.y) - 1):
@@ -111,10 +108,10 @@ def test_06_sinh_gordon_convergence():
     )
     xi = families.delaunay_xi(params)
     marked = im.MarkedPoints(1j, -1j)
-    fn = im.frame_fn_from_xi(xi, marked)
+    frames = im.TiledFrames(xi)
     domain = (-0.32, 0.32, -0.16, 0.16)
-    coarse = im.sample_surface(fn, marked, domain, 33, 17)
-    fine = im.sample_surface(fn, marked, domain, 65, 33)
+    coarse = im.sample_surface(frames, marked, domain, 33, 17)
+    fine = im.sample_surface(frames, marked, domain, 65, 33)
     _, r_coarse = im.sinh_gordon_residual(coarse)
     _, r_fine = im.sinh_gordon_residual(fine)
     ratio = r_coarse / r_fine
@@ -127,8 +124,7 @@ def test_07_geometry_constants(flat_pi6, minimal_marked):
     cases.append(marked6)
     cases.append(minimal_marked)
     for marked in cases:
-        fn = im.frame_fn_from_closed_form(families.flat_frame, marked)
-        s = im.sample_surface(fn, marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
+        s = im.sample_surface(families.flat_frame, marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
         h_exp, q_exp, _ = im.expected_invariants(marked)
         h_num = np.nanmean(s.interior(s.h_num))
         q_num = np.nanmean(s.interior(s.q_num))

@@ -164,6 +164,20 @@ def test_delta_bad_window(tmp_path):
     assert code == cli.EXIT_SCHEMA
 
 
+def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys):
+    # a = k^2 - 1/4 is negative on the window, so the branch report fails; the
+    # 40 samples miss its roots +-1/2, so every Delta value is computed
+    path = str(tmp_path / "data.json")
+    with open(path, "w") as fh:
+        json.dump({"a": [-0.25, 0, 1], "b": [0, 0.5], "kappa0": 2, "kappa1": -2}, fh)
+    out, rep = tmp_path / "delta.csv", tmp_path / "delta.json"
+    argv = ["delta", path, "--window", "-3", "3", "--samples", "40"]
+    code = run(argv + ["--out", str(out), "--report", str(rep)])
+    assert code == cli.EXIT_SCHEMA
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(rep)
+
+
 def test_verify_missing_dir(tmp_path):
     code = run(["verify", "--tests-dir", str(tmp_path / "nope")])
     assert code == cli.EXIT_SCHEMA
@@ -279,8 +293,14 @@ _SPECTRAL_OBJ = {"a": [0.25, 0, 1], "b": [0, 0.5], "kappa0": 1, "kappa1": -1}
         dict(_SPECTRAL_OBJ, b=[[0, 0.5]]),
         dict(_SPECTRAL_OBJ, kappa0=[1]),
         [_SPECTRAL_OBJ],
+        dict(_SPECTRAL_OBJ, a=["0.25", "0", "1"]),
+        dict(_SPECTRAL_OBJ, b=[False, 0.5]),
+        dict(_SPECTRAL_OBJ, kappa0=True),
+        dict(_SPECTRAL_OBJ, kappa1="-1"),
+        {"a": ["0.25", "0", "1"], "b": [0, 0.5], "kappa0": True, "kappa1": "-1"},
     ],
-    ids=["kappa0-missing", "a-column", "a-row", "b-row", "kappa0-list", "top-level-list"],
+    ids=["kappa0-missing", "a-column", "a-row", "b-row", "kappa0-list", "top-level-list",
+         "a-strings", "b-bool", "kappa0-bool", "kappa1-string", "strings-and-bool"],
 )
 def test_misshapen_spectral_data_exits_schema(tmp_path, capsys, obj):
     path = str(tmp_path / "data.json")

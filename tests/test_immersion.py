@@ -10,8 +10,7 @@ from cmcs3.errors import CMCError, DomainError, PreconditionError
 
 @pytest.fixture(scope="module")
 def flat_sample(minimal_marked):
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    return im.sample_surface(fn, minimal_marked, (-0.5, 0.5, -0.5, 0.5), 17, 17)
+    return im.sample_surface(families.flat_frame, minimal_marked, (-0.5, 0.5, -0.5, 0.5), 17, 17)
 
 
 def test_marked_points_invariants():
@@ -73,8 +72,7 @@ def test_flat_sample_geometry(flat_sample):
 
 
 def test_flat_u_vanishes_on_fine_grid(minimal_marked):
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    s = im.sample_surface(fn, minimal_marked, (-0.25, 0.25, -0.05, 0.05), 101, 21)
+    s = im.sample_surface(families.flat_frame, minimal_marked, (-0.25, 0.25, -0.05, 0.05), 101, 21)
     assert np.nanmax(np.abs(s.interior(s.u))) < 1e-5
 
 
@@ -83,21 +81,8 @@ def test_flat_residual_small(flat_sample):
     assert mx < 1e-2
 
 
-def test_residual_requires_geometry(flat_sample):
-    bare = im.SurfaceSample(
-        marked=flat_sample.marked,
-        x=flat_sample.x,
-        y=flat_sample.y,
-        f=flat_sample.f,
-        n=flat_sample.n,
-    )
-    with pytest.raises(PreconditionError):
-        im.sinh_gordon_residual(bare)
-
-
 def test_sphere_sample_liouville_control(minimal_marked):
-    fn = im.frame_fn_from_closed_form(families.sphere_frame, minimal_marked)
-    s = im.sample_surface(fn, minimal_marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
+    s = im.sample_surface(families.sphere_frame, minimal_marked, (-0.4, 0.4, -0.4, 0.4), 33, 33)
     z = s.x[None, :] + 1j * s.y[:, None]
     # conformal exponent matches the closed form up to the radius constant
     diff = s.interior(s.u - families.sphere_u(z))
@@ -109,14 +94,12 @@ def test_sphere_sample_liouville_control(minimal_marked):
 
 def test_associated_family_isometry(minimal_marked):
     domain = (-0.12, 0.12, -0.12, 0.12)
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    s0 = im.sample_surface(fn, minimal_marked, domain, 33, 33)
+    s0 = im.sample_surface(families.flat_frame, minimal_marked, domain, 33, 33)
     phi = 0.3
     rotated = im.MarkedPoints(
         minimal_marked.lam0 * np.exp(1j * phi), minimal_marked.lam1 * np.exp(1j * phi)
     )
-    fn2 = im.frame_fn_from_closed_form(families.flat_frame, rotated)
-    s1 = im.sample_surface(fn2, rotated, domain, 33, 33)
+    s1 = im.sample_surface(families.flat_frame, rotated, domain, 33, 33)
     assert np.nanmax(np.abs(s0.interior(s0.v - s1.v))) < 1e-6
     assert np.nanmax(np.abs(s0.interior(s0.h_num - s1.h_num))) < 1e-6
 
@@ -213,23 +196,19 @@ def test_hopf_scale(flat_pi4, delaunay_xi, delaunay_params):
     assert abs(im.hopf_scale(delaunay_xi) - expect) < 1e-12
 
 
-def test_frame_fn_from_xi_matches_closed_form(flat_pi4):
+def test_tiled_frames_match_closed_form(flat_pi4):
     xi, marked = flat_pi4
-    fn_num = im.frame_fn_from_xi(xi, marked)
-    fn_ref = im.frame_fn_from_closed_form(families.flat_frame, marked)
+    frames = im.TiledFrames(xi)
     for z in (0.2, 0.3 - 0.1j):
-        a0, a1 = fn_num(z)
-        b0, b1 = fn_ref(z)
-        assert np.max(np.abs(a0 - b0)) < 1e-8
-        assert np.max(np.abs(a1 - b1)) < 1e-8
+        ref = families.flat_frame(z, marked.lams)
+        assert np.max(np.abs(frames(z, marked.lams) - ref)) < 1e-8
 
 
 def _direct_frames(xi, marked, zs):
-    lams = np.array([marked.lam0, marked.lam1])
     out = np.empty(zs.shape + (2, 2, 2), dtype=complex)
     for idx, z in np.ndenumerate(zs):
-        out[idx] = iwasawa.frame(xi, z).f.evaluate(lams)
-    return out[..., 0, :, :], out[..., 1, :, :]
+        out[idx] = iwasawa.frame(xi, z).f.evaluate(marked.lams)
+    return out
 
 
 def _window(x0, y0, n=8, h=0.1):
@@ -244,13 +223,12 @@ def test_tiled_frames_match_direct_delaunay(minimal_marked, a_r, b_r, x0, y0):
     xi = families.delaunay_xi(families.DelaunayParams(a_r, b_r))
     zs = _window(x0, y0)
     assert np.max(np.abs(zs)) <= 5.0
-    fn = im.frame_fn_from_xi(xi, minimal_marked)
-    f0, f1 = fn(zs)
-    r0, r1 = _direct_frames(xi, minimal_marked, zs)
-    assert f0.shape == f1.shape == zs.shape + (2, 2)
-    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
-    assert fn.defects["anchors"] == 1
-    assert fn.defects["unitarity_max"] < 1e-9 and fn.defects["reconstruction_max"] < 1e-9
+    frames = im.TiledFrames(xi)
+    vals = frames(zs, minimal_marked.lams)
+    assert vals.shape == zs.shape + (2, 2, 2)
+    assert np.max(np.abs(vals - _direct_frames(xi, minimal_marked, zs))) < 1e-9
+    assert frames.defects["anchors"] == 1
+    assert frames.defects["unitarity_max"] < 1e-9 and frames.defects["reconstruction_max"] < 1e-9
 
 
 @pytest.mark.parametrize("beta", [0.3 * np.exp(0.4j), 0.6 * np.exp(-2.2j)])
@@ -258,42 +236,39 @@ def test_tiled_frames_match_direct_dressed(minimal_marked, beta):
     base = families.delaunay_xi(families.DelaunayParams(0.28, 0.45))
     xi = la.dress_simple_factor(base, beta)
     zs = _window(0.4, 0.3, n=6, h=0.12)
-    f0, f1 = im.frame_fn_from_xi(xi, minimal_marked)(zs)
-    r0, r1 = _direct_frames(xi, minimal_marked, zs)
-    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
+    vals = im.TiledFrames(xi)(zs, minimal_marked.lams)
+    assert np.max(np.abs(vals - _direct_frames(xi, minimal_marked, zs))) < 1e-9
 
 
 def test_tiles_cover_grid_with_far_anchors(delaunay_xi, minimal_marked):
     # a 2.5 x 1.2 grid splits into 3 x 2 tiles, each anchored at its farthest point
     zs = (np.linspace(-1.0, 1.5, 11)[None, :] + 1j * np.linspace(0.1, 1.3, 5)[:, None])
-    fn = im.frame_fn_from_xi(delaunay_xi, minimal_marked)
-    f0, f1 = fn(zs)
-    assert fn.defects["anchors"] == 6
-    r0, r1 = _direct_frames(delaunay_xi, minimal_marked, zs)
-    assert max(np.max(np.abs(f0 - r0)), np.max(np.abs(f1 - r1))) < 1e-9
+    frames = im.TiledFrames(delaunay_xi)
+    vals = frames(zs, minimal_marked.lams)
+    assert frames.defects["anchors"] == 6
+    assert np.max(np.abs(vals - _direct_frames(delaunay_xi, minimal_marked, zs))) < 1e-9
 
 
 def test_scalar_supplier_calls(delaunay_xi, minimal_marked, flat_pi4):
-    for fn in (
-        im.frame_fn_from_xi(delaunay_xi, minimal_marked),
-        im.frame_fn_from_closed_form(families.flat_frame, flat_pi4[1]),
-        im.frame_fn_from_closed_form(families.sphere_frame, minimal_marked),
+    for frames, marked in (
+        (im.TiledFrames(delaunay_xi), minimal_marked),
+        (families.flat_frame, flat_pi4[1]),
+        (families.sphere_frame, minimal_marked),
     ):
         for z in (0.0, 0.35 - 0.2j):
-            f0, f1 = fn(z)
-            assert f0.shape == f1.shape == (2, 2)
-            assert abs(np.linalg.det(f0) - 1.0) < 1e-9 and abs(np.linalg.det(f1) - 1.0) < 1e-9
+            vals = frames(z, marked.lams)
+            assert vals.shape == (2, 2, 2)
+            assert np.max(np.abs(np.linalg.det(vals) - 1.0)) < 1e-9
 
 
 def test_closed_form_sample_bit_identical_to_pointwise(minimal_marked):
     # reference: the per-point sampling loop, one supplier call per vertex
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    s = im.sample_surface(fn, minimal_marked, (0.1, 2.3, -0.4, 1.8), 23, 23)
+    s = im.sample_surface(families.flat_frame, minimal_marked, (0.1, 2.3, -0.4, 1.8), 23, 23)
     f = np.empty_like(s.f)
     n = np.empty_like(s.n)
     for iy, yy in enumerate(s.y):
         for ix, xx in enumerate(s.x):
-            f0, f1 = fn(complex(xx, yy))
+            f0, f1 = families.flat_frame(complex(xx, yy), minimal_marked.lams)
             f[iy, ix] = im.sym_bobenko(f0, f1)
             n[iy, ix] = im.normal(f0, f1)
     assert np.array_equal(f, s.f) and np.array_equal(n, s.n)
@@ -322,8 +297,7 @@ def _reference_csv(sample):
 
 
 def test_write_surface_csv_bytes_match_reference(minimal_marked, tmp_path):
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    s = im.sample_surface(fn, minimal_marked, (-0.6, 0.6, -0.3, 0.5), 13, 9)
+    s = im.sample_surface(families.flat_frame, minimal_marked, (-0.6, 0.6, -0.3, 0.5), 13, 9)
     # edge cases: -inf and -0.0 fields, Q with only its real or imaginary part NaN
     s.u[3, 4] = -np.inf
     s.v[4, 5] = -0.0
@@ -365,8 +339,9 @@ def _reference_obj(sample, stitch_x, stitch_y):
     "stitch_x, stitch_y", [(False, False), (True, False), (False, True), (True, True)]
 )
 def test_export_mesh_bytes_match_reference(minimal_marked, tmp_path, stitch_x, stitch_y):
-    fn = im.frame_fn_from_closed_form(families.flat_frame, minimal_marked)
-    s = im.sample_surface(fn, minimal_marked, (0.37, 4.812882938, 0.21, 4.652882938), 13, 13)
+    s = im.sample_surface(
+        families.flat_frame, minimal_marked, (0.37, 4.812882938, 0.21, 4.652882938), 13, 13
+    )
     path = str(tmp_path / "mesh.obj")
     im.export_mesh(s, path, stitch_x=stitch_x, stitch_y=stitch_y)
     with open(path, "rb") as fh:

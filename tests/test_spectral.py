@@ -78,7 +78,7 @@ def test_clifford_lnmu_closed_form(clifford_data):
 
 def test_lnmu_sheet_antisymmetry(revolution_quarter):
     k = 1.7
-    v_pos, nu_pos = sp.lnmu_at(revolution_quarter, k, positive_real_branch=True)
+    v_pos, nu_pos = sp.lnmu_at(revolution_quarter, k)
     path = sp.safe_path(revolution_quarter, 0.9, k)
     nu_start = -sp.nu_real_positive(revolution_quarter, 0.9)
     seg_neg, _ = sp.integrate_dlnmu(revolution_quarter, path, nu_start=nu_start)
