@@ -308,6 +308,8 @@ def cmd_delta(args):
     lo, hi = args.window
     if not lo < hi:
         raise _SchemaError("window must satisfy lo < hi")
+    # the branch report checks a > 0 on the window: fail before the scan and write nothing
+    branch = sp.real_branch_points(data, window=(lo, hi))
     kappas = np.linspace(lo, hi, args.samples)
     lines = ["kappa,delta,abs_le_2"]
     all_in_range = True
@@ -316,8 +318,6 @@ def cmd_delta(args):
         flag = abs(d) <= 2.0 + args.tol
         all_in_range = all_in_range and flag
         lines.append(f"{k:.9g},{d:.9g},{int(flag)}")
-    # the branch report can fail (e.g. a <= 0 on the window): write nothing before it
-    branch = sp.real_branch_points(data, window=(lo, hi))
     _write_atomic(args.out, "\n".join(lines) + "\n")
     if args.report:
         _write_json(

@@ -313,22 +313,24 @@ def find_roots(p):
     c = c[: nz[-1] + 1]
     if c.size == 1:
         return []
-    raw = npoly.polyroots(c)
-    raw = _newton_polish(c, raw)
+    unpolished = npoly.polyroots(c)
+    raw = _newton_polish(c, unpolished)
     order = np.lexsort((raw.imag, raw.real))
-    raw = raw[order]
+    raw, unpolished = raw[order], unpolished[order]
     groups = []
-    for r in raw:
+    for i, r in enumerate(raw):
         for grp in groups:
-            ref = grp[0]
+            ref = raw[grp[0]]
             if abs(r - ref) <= _MERGE_TOL * max(1.0, abs(ref)):
-                grp.append(r)
+                grp.append(i)
                 break
         else:
-            groups.append([r])
+            groups.append([i])
     out = []
     for grp in groups:
-        val = np.mean(grp)
+        # the polish moves the members of a cluster apart unevenly; the mean of
+        # the unpolished members is the accurate one
+        val = raw[grp[0]] if len(grp) == 1 else np.mean(unpolished[grp])
         is_real = abs(val.imag) < _CLASS_TOL * max(1.0, abs(val))
         if is_real:
             val = complex(val.real, 0.0)

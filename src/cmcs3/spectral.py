@@ -188,30 +188,56 @@ def _track(root, x_from, r_from, x_to, depth=0):
     return _track(root, mid, r_mid, x_to, depth + 1)
 
 
+def _track_chain(root, xs, vals, x_from, r_from):
+    """The root along the points xs, continued from (x_from, r_from), given
+    vals = root(xs) on either sheet.
+
+    Each value takes the sign nearer its predecessor, as in _track: negation
+    is exact, so flipping against the raw predecessor and multiplying the
+    flips up makes the same choices.  From the first point where consecutive
+    picks are not close, _track bisects instead.
+    """
+    prev = np.concatenate(([r_from], vals[:-1]))
+    flips = np.where(np.abs(vals - prev) <= np.abs(vals + prev), 1.0, -1.0)
+    picks = np.where(np.cumprod(flips) > 0, vals, -vals)
+    refs = np.concatenate(([r_from], picks[:-1]))
+    close = np.abs(picks - refs) <= 0.4 * np.maximum(np.abs(picks), np.abs(refs)) + 1e-300
+    if not close.all():
+        first = int(np.argmin(close))
+        ref_x, ref_r = (xs[first - 1], picks[first - 1]) if first else (x_from, r_from)
+        for i in range(first, len(xs)):
+            ref_r = picks[i] = _track(root, ref_x, ref_r, xs[i])
+            ref_x = xs[i]
+    return picks
+
+
 # ---------------------------------------------------------------------------
 # Quadrature of d ln mu with sheet tracking.
 
-
-def _panel(root, integrand, a, b, r_a):
-    """GL16 on [a, b] with the root tracked node to node; returns (value, root at b)."""
-    d = b - a
-    xs = a + d * (0.5 * (_GL_NODES + 1.0))
-    rs = np.empty(xs.shape, dtype=complex)
-    ref_x, ref_r = a, r_a
-    for i, x in enumerate(xs):
-        ref_r = _track(root, ref_x, ref_r, x)
-        ref_x = x
-        rs[i] = ref_r
-    r_b = _track(root, ref_x, ref_r, b)
-    return 0.5 * d * np.sum(_GL_WEIGHTS * integrand(xs, rs)), r_b
+_GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the GL16 nodes on [0, 1]
+_STEP_NODES = np.r_[0:16, 17:33, 34:50]  # the 48 nodes among the 51 points of one step
 
 
 def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
-    """Adaptive bisection of _panel on [a, b]; returns (value, root at b)."""
-    whole, _ = _panel(root, integrand, a, b, r_a)
+    """Adaptive bisection of GL16 panels on [a, b]; returns (value, root at b).
+
+    root takes arrays.  One step evaluates it once, at the nodes of the whole
+    panel and b, then of the left half, mid, the right half and b, and tracks
+    the sheet from (a, r_a) along both chains (see _track_chain).
+    """
     mid = 0.5 * (a + b)
-    left, r_m = _panel(root, integrand, a, mid, r_a)
-    right, r_b = _panel(root, integrand, mid, b, r_m)
+    xs = np.concatenate((
+        a + (b - a) * _GL_UNIT, [b],
+        a + (mid - a) * _GL_UNIT, [mid], mid + (b - mid) * _GL_UNIT, [b],
+    ))
+    vals = root(xs)
+    whole_r = _track_chain(root, xs[:17], vals[:17], a, r_a)
+    halves_r = _track_chain(root, xs[17:], vals[17:], a, r_a)
+    r_m, r_b = halves_r[16], halves_r[33]
+    f = integrand(xs[_STEP_NODES], np.concatenate((whole_r[:16], halves_r[:16], halves_r[17:33])))
+    whole = 0.5 * (b - a) * np.sum(_GL_WEIGHTS * f[:16])
+    left = 0.5 * (mid - a) * np.sum(_GL_WEIGHTS * f[16:32])
+    right = 0.5 * (b - mid) * np.sum(_GL_WEIGHTS * f[32:])
     err = abs(left + right - whole)
     if err < max(tol, 1e-15 * (abs(left) + abs(right))):
         return left + right, r_b
@@ -235,8 +261,8 @@ def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
         raise PreconditionError("path needs at least two points")
     _guard_path(data, path)
 
-    def nu(k):
-        return cmath.sqrt(complex(data.p(complex(k))))
+    def nu(ks):
+        return np.sqrt(data.p(ks))
 
     def dlnmu(ks, nus):
         return _TWO_PI_I * data.b(ks) / ((ks * ks + 1.0) * nus)
@@ -316,7 +342,7 @@ def _even_square_root(data):
     """q with q^2 = a when every root of a has even multiplicity, else None.
 
     A conjugate pair gives the real factor k^2 - 2 Re(r) k + |r|^2 of its root
-    r in the upper half plane (merged double roots need not be exact conjugates).
+    r in the upper half plane.
     """
     roots = data.a_roots
     if any(r.multiplicity % 2 for r in roots):
@@ -386,7 +412,7 @@ def _integrate_base_leg(data, base, waypoint, tol):
     d = waypoint - base
 
     def phi(s):
-        return cmath.sqrt(complex(data.p(base + s * s * d))) / s
+        return np.sqrt(data.p(base + s * s * d)) / s
 
     def dlnmu(ss, phis):
         ks = base + ss * ss * d
@@ -626,30 +652,24 @@ def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
     return 0.5 * (k_lo + k_hi)
 
 
-def real_branch_points(data, window=(-10.0, 10.0)):
-    """Real zeros of Delta': roots of b plus real solutions of mu = +-1.
+def _level_crossings(data, grid, theta):
+    """(kappa, L) where theta crosses pi L on the grid, sorted by kappa.
 
-    Returns BranchEntry items sorted by kappa.  A real root beta of b of
-    multiplicity m with theta = Im ln mu within _BRANCH_TOL of pi L gives
-    (beta, 2(-1)^L, 2m+1, "both"), and the crossings of level L within one
-    scan step of beta (scattered there by rounding of the cumulative theta)
-    are dropped.  Other roots of b are "b_root" of order m, other crossings
-    double points of order 1.  Requires a > 0 on the window (no real nodes).
+    Grid steps whose levels differ are refined one crossing per level; a grid
+    point with theta on a level in a step that keeps its level is a crossing
+    itself.
     """
-    lo, hi = float(window[0]), float(window[1])
-    grid, theta = _theta_scan(data, lo, hi, _SCAN_POINTS)
-
-    # mu = +-1: crossings of theta through multiples of pi.
-    levels_lo = np.floor(theta[:-1] / math.pi)
+    ratio = theta[:-1] / math.pi
+    levels_lo = np.floor(ratio)
     levels_hi = np.floor(theta[1:] / math.pi)
+    nearest = np.round(ratio)
+    on_level = (levels_lo == levels_hi) & (np.abs(ratio - nearest) < 1e-12)
     crossings = []
-    for i in range(len(grid) - 1):
-        l0, l1 = int(levels_lo[i]), int(levels_hi[i])
-        if l0 == l1:
-            # endpoint exactly on a level
-            if abs(theta[i] / math.pi - round(theta[i] / math.pi)) < 1e-12:
-                crossings.append((grid[i], int(round(theta[i] / math.pi))))
+    for i in np.flatnonzero((levels_lo != levels_hi) | on_level):
+        if on_level[i]:
+            crossings.append((grid[i], int(nearest[i])))
             continue
+        l0, l1 = int(levels_lo[i]), int(levels_hi[i])
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
             k_star = _refine_crossing(data, grid[i], theta[i], grid[i + 1], theta[i + 1], level)
             crossings.append((k_star, level))
@@ -662,7 +682,22 @@ def real_branch_points(data, window=(-10.0, 10.0)):
         if same and abs(k_star - merged[-1][0]) < 1e-7 * max(1.0, abs(k_star)):
             continue
         merged.append((k_star, level))
-    crossings = merged
+    return merged
+
+
+def real_branch_points(data, window=(-10.0, 10.0)):
+    """Real zeros of Delta': roots of b plus real solutions of mu = +-1.
+
+    Returns BranchEntry items sorted by kappa.  A real root beta of b of
+    multiplicity m with theta = Im ln mu within _BRANCH_TOL of pi L gives
+    (beta, 2(-1)^L, 2m+1, "both"), and the crossings of level L within one
+    scan step of beta (scattered there by rounding of the cumulative theta)
+    are dropped.  Other roots of b are "b_root" of order m, other crossings
+    double points of order 1.  Requires a > 0 on the window (no real nodes).
+    """
+    lo, hi = float(window[0]), float(window[1])
+    grid, theta = _theta_scan(data, lo, hi, _SCAN_POINTS)
+    crossings = _level_crossings(data, grid, theta)
 
     # roots of b in the window.
     at_roots = []

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cmcs3 import cli, families
+from cmcs3 import cli, families, spectral as sp
 
 
 def run(argv):
@@ -164,18 +164,24 @@ def test_delta_bad_window(tmp_path):
     assert code == cli.EXIT_SCHEMA
 
 
-def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys):
-    # a = k^2 - 1/4 is negative on the window, so the branch report fails; the
-    # 40 samples miss its roots +-1/2, so every Delta value is computed
+def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a = k^2 - 1/4 < 0 between its roots +-1/2, so the branch report fails,
+    # before any Delta value; the 241-sample grid lands on k = 1/2, the base
+    # branch point, which must not be what the error names
     path = str(tmp_path / "data.json")
     with open(path, "w") as fh:
         json.dump({"a": [-0.25, 0, 1], "b": [0, 0.5], "kappa0": 2, "kappa1": -2}, fh)
+    scanned = []
+    monkeypatch.setattr(sp, "delta", lambda *args: scanned.append(args))
     out, rep = tmp_path / "delta.csv", tmp_path / "delta.json"
-    argv = ["delta", path, "--window", "-3", "3", "--samples", "40"]
-    code = run(argv + ["--out", str(out), "--report", str(rep)])
-    assert code == cli.EXIT_SCHEMA
-    assert "Traceback" not in capsys.readouterr().err
-    assert not os.path.exists(out) and not os.path.exists(rep)
+    for samples in ("40", "241"):
+        argv = ["delta", path, "--window", "-3", "3", "--samples", samples]
+        code = run(argv + ["--out", str(out), "--report", str(rep)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "a has real zeros" in err and "Traceback" not in err
+        assert not scanned
+        assert sorted(os.listdir(tmp_path)) == ["data.json"]
 
 
 def test_verify_missing_dir(tmp_path):

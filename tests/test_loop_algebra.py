@@ -101,6 +101,28 @@ def test_find_roots_conjugate_pair():
     assert all(not r.is_real for r in roots)
 
 
+def test_find_roots_merged_double_roots_are_conjugates():
+    # (kappa^2 + 1/2)^2: the Newton polish moves the two members of each
+    # double root apart unevenly (one by ~6e-9), so a merged root is the mean
+    # of the unpolished members
+    q = np.array([0.5, 0.0, 1.0])
+    roots = la.find_roots(npoly.polymul(q, q))
+    assert [r.multiplicity for r in roots] == [2, 2]
+    lower, upper = sorted((r.value for r in roots), key=lambda z: z.imag)
+    assert abs(upper - lower.conjugate()) < 1e-14
+    assert all(abs(abs(z) ** 2 - 0.5) < 1e-14 for z in (lower, upper))
+
+
+def test_find_roots_singletons_keep_polished_values():
+    c = np.array([0.3, -1.1, 0.4, 0.7, 1.0], dtype=complex)
+    polished = la._newton_polish(c, npoly.polyroots(c))
+    polished = polished[np.lexsort((polished.imag, polished.real))]
+    roots = la.find_roots(c.real)
+    assert [r.multiplicity for r in roots] == [1, 1, 1, 1]
+    for r, z in zip(roots, polished):
+        assert r.value == (complex(z.real, 0.0) if r.is_real else complex(z))
+
+
 def test_divide_root_inverts_scalar_lift(delaunay_xi):
     beta = 0.2 + 0.1j
     factor = la.root_removal_factor(beta)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmcs3 import families, loop_algebra as la, spectral as sp
+from cmcs3 import families, flow, loop_algebra as la, spectral as sp
 from cmcs3.errors import DomainError, PreconditionError
 
 
@@ -150,22 +150,24 @@ def test_real_branch_points_revolution(revolution_quarter):
     assert np.allclose(kappas, [-1.0, 1.0], atol=1e-7)
 
 
-@pytest.mark.parametrize(
-    "window",
-    [(-10.0, 10.0), (-1.0, 1.0), (-640.0, 640.0), (-3.0, 3.0), (-2.9, 3.1)],
-    ids=lambda w: f"{w[0]:g}..{w[1]:g}",
-)
-def test_real_branch_points_tangency_at_root_of_b(window):
-    # Delta(0) = 2 cos(2 pi sqrt(1/4)) = -2 at the root of b = 3k/4: theta is
-    # tangent to pi there, which makes k = 0 one branch point of order 3,
-    # whatever the window and its scan grid
-    data = sp.SpectralData(
+def _tangency():
+    return sp.SpectralData(
         la.RealPolynomial(np.array([0.25, 0.0, 1.0])),
         la.RealPolynomial(np.array([0.0, 0.75])),
         2.0,
         -2.0,
     )
-    report = sp.real_branch_points(data, window=window)
+
+
+_TANGENCY_WINDOWS = [(-10.0, 10.0), (-1.0, 1.0), (-640.0, 640.0), (-3.0, 3.0), (-2.9, 3.1)]
+
+
+@pytest.mark.parametrize("window", _TANGENCY_WINDOWS, ids=lambda w: f"{w[0]:g}..{w[1]:g}")
+def test_real_branch_points_tangency_at_root_of_b(window):
+    # Delta(0) = 2 cos(2 pi sqrt(1/4)) = -2 at the root of b = 3k/4: theta is
+    # tangent to pi there, which makes k = 0 one branch point of order 3,
+    # whatever the window and its scan grid
+    report = sp.real_branch_points(_tangency(), window=window)
     assert [(e.kind, e.order) for e in report] == [("both", 3)]
     assert report[0].kappa == 0.0 and report[0].delta == -2.0
 
@@ -277,13 +279,17 @@ _G2_PERIODS = [
 ]
 
 
-def test_genus2_lnmu_and_periods_pinned():
-    data = sp.SpectralData(
+def _genus2():
+    return sp.SpectralData(
         la.RealPolynomial(np.array(_G2_A)),
         la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
         1.7,
         -0.6,
     )
+
+
+def test_genus2_lnmu_and_periods_pinned():
+    data = _genus2()
     assert abs(sp._base_point(data) + 0.5j) < 1e-12  # 0.1 - 0.45j lies on the base leg
 
     def close(got, want):
@@ -299,7 +305,8 @@ def test_genus2_lnmu_and_periods_pinned():
 
 def test_nodal_square_curve_closed_form():
     # a = (k^2 + 1/2)^2 = q^2 with b = 0.3 k q: ln mu = -0.6 pi i / sqrt(k^2 + 1).
-    # find_roots returns the double roots +-i/sqrt(2) as inexact conjugates.
+    # find_roots merges the double roots +-i/sqrt(2) from their unpolished
+    # members, so they are conjugates to round-off.
     q = np.array([0.5, 0.0, 1.0])
     data = sp.SpectralData(
         la.RealPolynomial(np.polynomial.polynomial.polymul(q, q)),
@@ -335,3 +342,226 @@ def test_curve_roots_found_once(revolution_quarter, monkeypatch):
     sp.g_invariant(data)
     assert set(calls) <= keys
     assert len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# Batched sheet tracking against the node-by-node tracker it replaced.
+
+
+def _node_panel(root, integrand, a, b, r_a):
+    """GL16 on [a, b] with the root tracked node to node; returns (value, root at b)."""
+    d = b - a
+    xs = a + d * (0.5 * (sp._GL_NODES + 1.0))
+    rs = np.empty(xs.shape, dtype=complex)
+    ref_x, ref_r = a, r_a
+    for i, x in enumerate(xs):
+        ref_r = sp._track(root, ref_x, ref_r, x)
+        ref_x = x
+        rs[i] = ref_r
+    r_b = sp._track(root, ref_x, ref_r, b)
+    return 0.5 * d * np.sum(sp._GL_WEIGHTS * integrand(xs, rs)), r_b
+
+
+def _node_adaptive(root, integrand, a, b, r_a, tol, depth=0):
+    whole, _ = _node_panel(root, integrand, a, b, r_a)
+    mid = 0.5 * (a + b)
+    left, r_m = _node_panel(root, integrand, a, mid, r_a)
+    right, r_b = _node_panel(root, integrand, mid, b, r_m)
+    if abs(left + right - whole) < max(tol, 1e-15 * (abs(left) + abs(right))):
+        return left + right, r_b
+    assert depth < 26
+    lv, r_m = _node_adaptive(root, integrand, a, mid, r_a, 0.5 * tol, depth + 1)
+    rv, r_b = _node_adaptive(root, integrand, mid, b, r_m, 0.5 * tol, depth + 1)
+    return lv + rv, r_b
+
+
+def _node_integrate_dlnmu(data, path, tol=1e-10):
+    def nu(k):
+        return cmath.sqrt(complex(data.p(complex(k))))
+
+    def dlnmu(ks, nus):
+        return sp._TWO_PI_I * data.b(ks) / ((ks * ks + 1.0) * nus)
+
+    total, nu_cur = 0.0, nu(path[0])
+    for p, q in zip(path, path[1:]):
+        val, nu_cur = _node_adaptive(nu, dlnmu, p, q, nu_cur, tol / (len(path) - 1))
+        total += val
+    return total, nu_cur
+
+
+def _rotational_paths():
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    return data, [
+        sp.safe_path(data, 0.3 + 0.1j, 2.0 - 0.7j),
+        sp.safe_path(data, -2.5 + 0.2j, 2.5 + 0.3j),
+        sp.homology_cycles(data)[0],
+        sp._circle(1j, 0.15, 2),
+    ]
+
+
+def _genus2_paths():
+    data = _genus2()
+    return data, [
+        sp.safe_path(data, 0.1 - 0.3j, -2.4 + 0.9j),
+        sp.safe_path(data, 1.7, 0.3 + 0.2j),
+        *sp.homology_cycles(data),
+    ]
+
+
+@pytest.mark.parametrize("case", [_rotational_paths, _genus2_paths], ids=["rotational", "genus2"])
+def test_integrate_dlnmu_matches_node_by_node_tracking(case):
+    data, paths = case()
+    for path in paths:
+        got_val, got_nu = sp.integrate_dlnmu(data, path)
+        want_val, want_nu = _node_integrate_dlnmu(data, [complex(k) for k in path])
+        assert abs(got_val - want_val) <= 1e-13 * max(abs(want_val), 1.0)
+        assert abs(got_nu - want_nu) <= 1e-13 * max(abs(want_nu), 1.0)
+
+
+def test_grazing_segment_falls_back_to_bisection(monkeypatch):
+    # the segment passes 0.01 from the branch point i/2: neighbouring nodes
+    # there lie on visibly different sheets, so _track bisects
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    path = [-1.0 + 0.49j, 1.0 + 0.49j]
+    want_val, want_nu = _node_integrate_dlnmu(data, path)
+    calls = []
+    track = sp._track
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return track(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "_track", counting)
+    got_val, got_nu = sp.integrate_dlnmu(data, path)
+    assert calls
+    assert abs(got_val - want_val) <= 1e-13 * max(abs(want_val), 1.0)
+    assert abs(got_nu - want_nu) <= 1e-13 * max(abs(want_nu), 1.0)
+
+
+def test_rotational_monitor_and_scan_need_no_bisection(monkeypatch):
+    # timing-free guard of the batched path: on these queries every adaptive
+    # step tracks its sheet from one array evaluation of nu
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    calls = []
+    monkeypatch.setattr(sp, "_track", lambda *args, **kwargs: calls.append(args))
+    flow._monitors(data)
+    for kappa in np.linspace(-3.0, 3.0, 41):
+        sp.delta(data, kappa)
+    assert not calls
+
+
+def test_genus2_lnmu_matches_mpmath():
+    # ln mu along the same legs at 30 digits.  nu is continued along each
+    # straight leg as nu(P) prod_j sqrt((k - e_j)/(P - e_j)) over the branch
+    # points e_j: the principal root of each factor is continuous there, since
+    # a segment subtends an angle below pi at any point off it.
+    mpmath = pytest.importorskip("mpmath")
+    data = _genus2()
+    with mpmath.workdps(30):
+        a_coeffs = [mpmath.mpf(float(c)) for c in data.a.coeffs]
+        branch = list(mpmath.polyroots(a_coeffs[::-1], maxsteps=200, extraprec=200))
+        branch += [mpmath.mpc(0, 1), mpmath.mpc(0, -1)]
+
+        def poly(coeffs, k):
+            return mpmath.polyval([mpmath.mpf(float(c)) for c in coeffs[::-1]], k)
+
+        def form(k, nu_k):  # d ln mu / d kappa
+            return 2j * mpmath.pi * poly(data.b.coeffs, k) / ((k * k + 1) * nu_k)
+
+        def continued(start, nu_start, k, skip=None):
+            out = nu_start
+            for e in branch:
+                if e is not skip:
+                    out *= mpmath.sqrt((k - e) / (start - e))
+            return out
+
+        base_f = sp._base_point(data)
+        base = min(branch, key=lambda e: abs(e - base_f))
+        for kappa in (0.3 + 0.2j, 1.7, -2.4 + 0.9j):
+            want_val, want_nu = sp.lnmu_at(data, kappa)
+            direction = kappa - base_f
+            leg = min(0.45 * sp._local_gap(data.obstacles, base_f), abs(direction))
+            waypoint = base_f + leg * direction / abs(direction)
+            # the base leg in k = base + s^2 d, where nu/s is analytic
+            d = mpmath.mpc(waypoint) - base
+            phi0 = mpmath.sqrt(d * mpmath.fprod(base - e for e in branch if e is not base))
+
+            def phi(s):
+                return continued(base, phi0, base + s * s * d, skip=base)
+
+            val = mpmath.quad(lambda s: 2 * s * d * form(base + s * s * d, s * phi(s)), [0, 1])
+            nu_k = phi(1)
+            path = sp.safe_path(data, waypoint, kappa)
+            for p, q in zip(path, path[1:]):
+                p, q = mpmath.mpc(p), mpmath.mpc(q)
+                val += mpmath.quad(
+                    lambda t: (q - p) * form(p + t * (q - p), continued(p, nu_k, p + t * (q - p))),
+                    [0, 1],
+                )
+                nu_k = continued(p, nu_k, q)
+            val, nu_k = complex(val), complex(nu_k)
+            if complex(kappa).imag == 0 and nu_k.real < 0:
+                val, nu_k = -val, -nu_k
+            assert abs(val - want_val) <= 1e-11 * max(abs(want_val), 1.0)
+            assert abs(nu_k - want_nu) <= 1e-11 * max(abs(want_nu), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The crossing search of real_branch_points against the grid loop it replaced.
+
+
+def _loop_level_crossings(data, grid, theta):
+    levels_lo = np.floor(theta[:-1] / math.pi)
+    levels_hi = np.floor(theta[1:] / math.pi)
+    crossings = []
+    for i in range(len(grid) - 1):
+        l0, l1 = int(levels_lo[i]), int(levels_hi[i])
+        if l0 == l1:
+            # endpoint exactly on a level
+            if abs(theta[i] / math.pi - round(theta[i] / math.pi)) < 1e-12:
+                crossings.append((grid[i], int(round(theta[i] / math.pi))))
+            continue
+        for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
+            k_star = sp._refine_crossing(data, grid[i], theta[i], grid[i + 1], theta[i + 1], level)
+            crossings.append((k_star, level))
+    crossings.sort(key=lambda c: c[0])
+    merged = []
+    for k_star, level in crossings:
+        same = merged and merged[-1][1] == level
+        if same and abs(k_star - merged[-1][0]) < 1e-7 * max(1.0, abs(k_star)):
+            continue
+        merged.append((k_star, level))
+    return merged
+
+
+def _crossing_cases():
+    rot, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    wide, _ = families.revolution_family(families.RevolutionParams(1.3, 0.7))
+    cases = [
+        ("rotational", rot, (-10.0, 10.0)),
+        ("rotational-wide", wide, (-640.0, 640.0)),
+        ("mobius", sp.mobius_transform_data(rot, 0.23), (-6.0, 6.0)),
+        ("mobius-wide", sp.mobius_transform_data(wide, -0.17), (-3.0, 3.0)),
+        ("genus2", _genus2(), (-10.0, 10.0)),
+    ]
+    cases += [(f"tangency{w[0]:g}..{w[1]:g}", _tangency(), w) for w in _TANGENCY_WINDOWS]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,data,window", _crossing_cases())
+def test_level_crossings_match_grid_loop(name, data, window):
+    grid, theta = sp._theta_scan(data, window[0], window[1], sp._SCAN_POINTS)
+    got = sp._level_crossings(data, grid, theta)
+    assert got == _loop_level_crossings(data, grid, theta)
+    assert got or name.startswith("tangency")
+
+
+def test_level_crossings_on_grid_points():
+    # theta exactly on levels at grid points, inside steps that keep their
+    # level and at the ends of steps that change it
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    grid = np.linspace(-2.0, 2.0, 9)
+    theta = math.pi * np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.7, -1.0, -1.0, -0.2])
+    got = sp._level_crossings(data, grid, theta)
+    assert got == _loop_level_crossings(data, grid, theta)
+    assert got[:2] == [(grid[0], 0), (grid[1], 0)]
