@@ -14,6 +14,7 @@ double points.
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,6 +93,14 @@ class SpectralData:
         kappa = np.asarray(kappa, dtype=complex)
         return (kappa * kappa + 1.0) * self.a(kappa)
 
+    def nu(self, kappa):
+        """The principal square root of p (either sheet; callers track it)."""
+        return np.sqrt(self.p(kappa))
+
+    def dlnmu(self, kappa, nu):
+        """d ln mu / d kappa at kappa on the sheet of nu."""
+        return _TWO_PI_I * self.b(kappa) / ((kappa * kappa + 1.0) * nu)
+
     @property
     def p_coeffs(self):
         return npoly.polymul(np.array([1.0, 0.0, 1.0]), self.a.coeffs)
@@ -156,12 +165,6 @@ class BranchEntry:
 def plane_key(z):
     """Sort key of a point of the kappa plane: (Re, Im), rounded to 12 decimals."""
     return round(z.real, 12), round(z.imag, 12)
-
-
-def odd_branch_points(data):
-    """Odd-multiplicity branch points, sorted by (Re, Im)."""
-    pts = [r.value for r in data.branch_points if r.multiplicity % 2 == 1]
-    return sorted(pts, key=plane_key)
 
 
 def nu_real_positive(data, kappa):
@@ -260,27 +263,19 @@ def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
     if len(path) < 2:
         raise PreconditionError("path needs at least two points")
     _guard_path(data, path)
-
-    def nu(ks):
-        return np.sqrt(data.p(ks))
-
-    def dlnmu(ks, nus):
-        return _TWO_PI_I * data.b(ks) / ((ks * ks + 1.0) * nus)
-
     if nu_start is None:
-        nu_start = nu(path[0])
+        nu_start = data.nu(path[0])
     total = 0.0 + 0.0j
     nu_cur = complex(nu_start)
     seg_tol = tol / max(len(path) - 1, 1)
     for p, q in zip(path, path[1:]):
-        val, nu_cur = _adaptive(nu, dlnmu, p, q, nu_cur, seg_tol)
+        val, nu_cur = _adaptive(data.nu, data.dlnmu, p, q, nu_cur, seg_tol)
         total += val
     return total, nu_cur
 
 
 def _local_gap(obstacles, o):
-    others = [abs(p - o) for p in obstacles if abs(p - o) > 1e-12]
-    return min(others) if others else 1.0
+    return min(abs(p - o) for p in obstacles if abs(p - o) > 1e-12)  # +-i are two obstacles
 
 
 def _detour_radius(obstacles, o):
@@ -289,14 +284,23 @@ def _detour_radius(obstacles, o):
 
 
 def _guard_path(data, path):
+    """Reject a polyline passing within 1e-3 local gaps of an obstacle, naming the
+    first such segment's first such obstacle.  A long path (a period loop) is
+    checked in one array expression; the few segments of an open leg are faster
+    one by one."""
     obstacles = data.obstacles
-    for p, q in zip(path, path[1:]):
-        for o in obstacles:
-            offset = 1e-3 * min(_local_gap(obstacles, o), 1.0)
-            if _segment_distance(p, q, o) < offset:
-                raise DomainError(
-                    f"integration path passes within {offset:.2e} of the branch point {o}"
-                )
+    offsets = [1e-3 * min(_local_gap(obstacles, o), 1.0) for o in obstacles]
+    if len(path) > 4:
+        path = np.asarray(path, dtype=complex)
+        p, d, o = path[:-1, None], np.diff(path)[:, None], np.array(obstacles)
+        t = np.clip(((o - p) * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+        hits = np.argwhere(np.abs(o - (p + t * d)) < offsets)[:, 1]
+    else:
+        hits = [j for p, q in zip(path, path[1:]) for j, o in enumerate(obstacles)
+                if _segment_distance(p, q, o) < offsets[j]]
+    if len(hits):
+        raise DomainError(f"integration path passes within {offsets[hits[0]]:.2e} "
+                          f"of the branch point {obstacles[hits[0]]}")
 
 
 def _segment_distance(p, q, o):
@@ -468,75 +472,86 @@ def _dist_to_2pii(z):
     return abs(z - _TWO_PI_I * k)
 
 
+# kappa(t) = center + u (major cos t + i minor sin t), 0 <= t <= 2 pi turns: an ellipse or circle
+Loop = namedtuple("Loop", "center major minor u turns", defaults=(1.0, 1))
+_TRAPEZOID_START = 32  # points of the first trapezoidal sum around a loop
+_TRAPEZOID_CAP = 1 << 15  # most points around a loop before ConvergenceError
+
+
 def _loop_integral(data, loop, tol):
-    """Integral of d ln mu around a closed polyline that must close on the curve."""
-    nu0 = cmath.sqrt(complex(data.p(loop[0])))
-    val, nu_end = integrate_dlnmu(data, loop, nu_start=nu0, tol=tol)
-    if abs(nu_end - nu0) > 1e-5 * max(abs(nu0), 1.0):
-        raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
-    return val
+    """Integral of d ln mu around a loop that must close on the curve.
 
-
-def _circle(center, radius, turns):
-    """24-gon per turn around a circle (turns = 2 for loops closing through both sheets)."""
-    angles = np.linspace(0.0, 2.0 * math.pi * turns, 24 * turns + 1)
-    return [center + radius * cmath.exp(1j * t) for t in angles]
+    The integrand is analytic and periodic in t, so the N-point trapezoidal
+    rule converges geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014).
+    N doubles until two sums agree.  Each doubling evaluates nu at the new
+    points only (t_j = j period/N keeps the old ones) and tracks its sheet
+    along the whole chain from kappa(0).
+    """
+    period = 2.0 * math.pi * loop.turns
+    n, vals, total = _TRAPEZOID_START, None, math.inf
+    while True:
+        e = np.exp(1j * np.arange(n + 1) * (period / n))
+        ks = loop.center + loop.u * (loop.major * e.real + 1j * loop.minor * e.imag)
+        _guard_path(data, ks)
+        vals = data.nu(ks) if vals is None else np.insert(
+            vals, np.arange(1, n // 2 + 1), data.nu(ks[1::2]))
+        nus = _track_chain(data.nu, ks, vals, ks[0], vals[0])
+        if abs(nus[-1] - nus[0]) > 1e-5 * max(abs(nus[0]), 1.0):
+            raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
+        velocity = loop.u * (1j * loop.minor * e.real - loop.major * e.imag)
+        prev, total = total, period / n * np.sum((data.dlnmu(ks, nus) * velocity)[:-1])
+        diff = abs(total - prev)
+        if diff < max(tol, 1e-15 * abs(total)):
+            return total
+        if 2 * n > _TRAPEZOID_CAP:
+            raise ConvergenceError(f"trapezoidal rule around a period loop stalled at N = {n} "
+                                   f"with difference {diff:.3e}", residual=float(diff))
+        n *= 2
 
 
 def homology_cycles(data):
-    """Polyline cycles around consecutive pairs of odd roots of a.
+    """Ellipses around consecutive pairs of odd roots of a.
 
     The branch points +-i of the kappa^2+1 factor are excluded from the
     pairing; their residue behaviour is checked separately by the double
-    loops in period_integrals.
+    loops of period_loops.
     """
-    pts = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
-    pts = sorted(pts, key=plane_key)
+    pts = sorted((r.value for r in data.a_roots if r.multiplicity % 2 == 1), key=plane_key)
     if len(pts) % 2 != 0:
         raise InconsistencyError("odd number of odd-multiplicity branch points")
-    all_pts = data.obstacles
-    if len(all_pts) >= 2:
-        min_gap = min(
-            abs(p - q) for i, p in enumerate(all_pts) for q in all_pts[i + 1:]
-        )
-    else:
-        min_gap = 1.0
-    r = 0.5 * min_gap
+    all_pts = data.obstacles  # +-i at least
+    r = 0.5 * min(abs(p - q) for i, p in enumerate(all_pts) for q in all_pts[i + 1:])
     cycles = []
     for p1, p2 in zip(pts[0::2], pts[1::2]):
         center = 0.5 * (p1 + p2)
         half = 0.5 * abs(p2 - p1)
         u = (p2 - p1) / abs(p2 - p1) if abs(p2 - p1) > 1e-12 else 1.0 + 0.0j
-        ts = np.linspace(0.0, 2.0 * math.pi, 33)
-        cyc = [center + (half + r) * math.cos(t) * u + r * math.sin(t) * (1j * u) for t in ts]
-        others = [o for o in all_pts if min(abs(o - p1), abs(o - p2)) > 1e-9]
-        for o in others:
+        for o in all_pts:
             # reject configurations where a foreign branch point sits inside
             w = (o - center) / u
-            if (w.real / (half + r)) ** 2 + (w.imag / r) ** 2 < 1.0:
-                raise InconsistencyError(
-                    "homology cycle would enclose a third branch point; "
-                    "configuration not supported"
-                )
-        cycles.append(cyc)
+            inside = (w.real / (half + r)) ** 2 + (w.imag / r) ** 2 < 1.0
+            if inside and min(abs(o - p1), abs(o - p2)) > 1e-9:
+                raise InconsistencyError("homology cycle would enclose a third branch "
+                                         "point; configuration not supported")
+        cycles.append(Loop(center, half + r, r, u))
     return cycles
 
 
-def period_integrals(data, tol=1e-10):
-    """All closed-loop integrals checked by condition B.
-
-    Cycles around consecutive odd branch-point pairs, loops around even roots
+def period_loops(data):
+    """The loops of condition B: homology_cycles, circles around even roots
     of a (node residues), and double loops around +-i (the second-order poles
-    of d ln mu must be residue-free).
-    """
+    of d ln mu must be residue-free)."""
     loops = homology_cycles(data)
-    all_pts = data.obstacles
-    for root in data.a_roots:
-        if root.multiplicity % 2 == 0:
-            loops.append(_circle(root.value, _detour_radius(all_pts, root.value), 1))
-    for pole in (1j, -1j):
-        loops.append(_circle(pole, _detour_radius(all_pts, pole), 2))
-    return [_loop_integral(data, loop, tol) for loop in loops]
+    centers = [(r.value, 1) for r in data.a_roots if r.multiplicity % 2 == 0]
+    for center, turns in centers + [(1j, 2), (-1j, 2)]:
+        r = _detour_radius(data.obstacles, center)
+        loops.append(Loop(center, r, r, 1.0, turns))
+    return loops
+
+
+def period_integrals(data, tol=1e-10):
+    """The integrals of d ln mu around period_loops(data), checked by condition B."""
+    return [_loop_integral(data, loop, tol) for loop in period_loops(data)]
 
 
 def _canonical_lnmu(z):
@@ -595,21 +610,6 @@ def delta(data, kappa):
         raise DomainError("Delta has essential behavior at kappa = +-i")
     val, _ = lnmu_at(data, kappa)
     return 2.0 * cmath.cosh(val)
-
-
-def involution_residual(data, kappas):
-    """Max deviation from ln mu(rho(P)) = -conj(ln mu(P)) mod 2 pi i.
-
-    rho is (kappa, nu) -> (conj kappa, conj nu); used as a property check.
-    """
-    worst = 0.0
-    for k in kappas:
-        l1, n1 = lnmu_at(data, k)
-        l2, n2 = lnmu_at(data, np.conj(k))
-        if abs(n2 - np.conj(n1)) > abs(n2 + np.conj(n1)):
-            l2 = -l2
-        worst = max(worst, _dist_to_2pii(l2 + np.conj(l1)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

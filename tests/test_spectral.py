@@ -1,11 +1,12 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
-from cmcs3 import families, flow, loop_algebra as la, spectral as sp
-from cmcs3.errors import DomainError, PreconditionError
+from cmcs3 import cli, families, flow, loop_algebra as la, spectral as sp
+from cmcs3.errors import ConvergenceError, DomainError, InconsistencyError, PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,14 @@ def test_mean_curvature(clifford_data, revolution_quarter):
     assert abs(data.mean_curvature + 0.5) < 1e-12  # orientation-flipped
 
 
+def _odd_branch_points(data):
+    """Odd-multiplicity branch points, sorted by (Re, Im)."""
+    pts = [r.value for r in data.branch_points if r.multiplicity % 2 == 1]
+    return sorted(pts, key=sp.plane_key)
+
+
 def test_branch_points(revolution_quarter):
-    pts = sp.odd_branch_points(revolution_quarter)
+    pts = _odd_branch_points(revolution_quarter)
     expect = sorted([0.5j, -0.5j, 1j, -1j], key=lambda z: (z.real, z.imag))
     assert len(pts) == 4
     assert np.max(np.abs(np.array(pts) - np.array(expect))) < 1e-8
@@ -128,9 +135,22 @@ def test_delta_sheet_independence(revolution_quarter):
     assert abs(val.imag) < 1e-10
 
 
+def _involution_residual(data, kappas):
+    """Max deviation from ln mu(rho(P)) = -conj(ln mu(P)) mod 2 pi i, where
+    rho is (kappa, nu) -> (conj kappa, conj nu)."""
+    worst = 0.0
+    for k in kappas:
+        l1, n1 = sp.lnmu_at(data, k)
+        l2, n2 = sp.lnmu_at(data, np.conj(k))
+        if abs(n2 - np.conj(n1)) > abs(n2 + np.conj(n1)):
+            l2 = -l2
+        worst = max(worst, sp._dist_to_2pii(l2 + np.conj(l1)))
+    return worst
+
+
 def test_involution(revolution_quarter):
     pts = [0.7 + 0.2j, -1.3 + 0.5j, 0.1 - 0.8j]
-    assert sp.involution_residual(revolution_quarter, pts) < 1e-9
+    assert _involution_residual(revolution_quarter, pts) < 1e-9
 
 
 def test_real_branch_points_clifford(clifford_data):
@@ -216,7 +236,7 @@ def test_safe_path_endpoints(revolution_quarter):
     path = sp.safe_path(revolution_quarter, -2.0, 2.0)
     assert abs(path[0] + 2.0) < 1e-12
     assert abs(path[-1] - 2.0) < 1e-12
-    branch = sp.odd_branch_points(revolution_quarter)
+    branch = _odd_branch_points(revolution_quarter)
     for seg_start, seg_end in zip(path[:-1], path[1:]):
         for o in branch:
             assert sp._segment_distance(seg_start, seg_end, o) > 1e-3
@@ -389,13 +409,21 @@ def _node_integrate_dlnmu(data, path, tol=1e-10):
     return total, nu_cur
 
 
+def _polyline(loop, chords_per_turn):
+    """A loop as the closed polyline the periods were once integrated along:
+    32 chords for the ellipses of homology_cycles, a 24-gon per turn for circles."""
+    ts = np.linspace(0.0, 2.0 * math.pi * loop.turns, chords_per_turn * loop.turns + 1)
+    c, a, b, u = loop.center, loop.major, loop.minor, loop.u
+    return [c + a * math.cos(t) * u + b * math.sin(t) * (1j * u) for t in ts]
+
+
 def _rotational_paths():
     data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
     return data, [
         sp.safe_path(data, 0.3 + 0.1j, 2.0 - 0.7j),
         sp.safe_path(data, -2.5 + 0.2j, 2.5 + 0.3j),
-        sp.homology_cycles(data)[0],
-        sp._circle(1j, 0.15, 2),
+        _polyline(sp.homology_cycles(data)[0], 32),
+        _polyline(sp.Loop(1j, 0.15, 0.15, turns=2), 24),
     ]
 
 
@@ -404,7 +432,7 @@ def _genus2_paths():
     return data, [
         sp.safe_path(data, 0.1 - 0.3j, -2.4 + 0.9j),
         sp.safe_path(data, 1.7, 0.3 + 0.2j),
-        *sp.homology_cycles(data),
+        *(_polyline(cycle, 32) for cycle in sp.homology_cycles(data)),
     ]
 
 
@@ -504,6 +532,127 @@ def test_genus2_lnmu_matches_mpmath():
                 val, nu_k = -val, -nu_k
             assert abs(val - want_val) <= 1e-11 * max(abs(want_val), 1.0)
             assert abs(nu_k - want_nu) <= 1e-11 * max(abs(want_nu), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Periods by the trapezoidal rule against the polyline quadrature they replaced.
+
+
+def _polyline_periods(data):
+    """Each period loop as a polyline through integrate_dlnmu, from the
+    principal root at its first point: the 33-point ellipses and the 24-gons."""
+    out = []
+    for loop in sp.period_loops(data):
+        path = _polyline(loop, 24 if loop.major == loop.minor else 32)
+        val, _ = sp.integrate_dlnmu(data, path, nu_start=cmath.sqrt(complex(data.p(path[0]))))
+        out.append(val)
+    return out
+
+
+def _nodal_genus3():
+    # a = ((k - 3)^2 + 1)(k^2 + 1/2)^2: odd roots 3 +- i, even roots +-i/sqrt(2)
+    poly = np.polynomial.polynomial
+    q = [0.5, 0.0, 1.0]
+    return sp.SpectralData(
+        la.RealPolynomial(poly.polymul([10.0, -6.0, 1.0], poly.polymul(q, q))),
+        la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
+        1.7,
+        -0.6,
+    )
+
+
+def _thin_ellipse():
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.9))
+    return sp.mobius_transform_data(data, 0.2)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: families.revolution_family(families.RevolutionParams(0.5, 0.25))[0],
+    _thin_ellipse,
+    _genus2,
+    _nodal_genus3,
+], ids=["rotational", "thin-ellipse", "genus2", "node-circle"])
+def test_periods_match_polyline_quadrature(case):
+    data = case()
+    got, want = sp.period_integrals(data), _polyline_periods(data)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * max(abs(w), 1.0)
+
+
+def test_node_circle_is_integrated():
+    loops = sp.period_loops(_nodal_genus3())
+    assert [(lp.turns, lp.major == lp.minor) for lp in loops] == [
+        (1, False), (1, True), (1, True), (2, True), (2, True)
+    ]
+
+
+def test_period_loop_past_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
+    # the thin ellipse needs N = 2048; capped at 64 the sums still disagree
+    monkeypatch.setattr(sp, "_TRAPEZOID_CAP", 64)
+    data = _thin_ellipse()
+    with pytest.raises(ConvergenceError) as exc:
+        sp.period_integrals(data)
+    assert exc.value.residual is not None and exc.value.residual > 1e-10
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(data.to_json()))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: trapezoidal rule" in err and "Traceback" not in err
+
+
+def test_loop_around_one_branch_point_does_not_close():
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    with pytest.raises(InconsistencyError, match="sheet mismatch"):
+        sp._loop_integral(data, sp.Loop(0.5j, 0.1, 0.1), 1e-10)
+
+
+def test_homology_cycle_enclosing_third_branch_point_rejected():
+    # a = k^2 + 4: the ellipse around +-2i would enclose +-i
+    data = sp.SpectralData(la.RealPolynomial(np.array([4.0, 0.0, 1.0])),
+                           la.RealPolynomial(np.array([0.0, 1.0])), 1.0, -1.0)
+    with pytest.raises(InconsistencyError, match="third branch point"):
+        sp.homology_cycles(data)
+    with pytest.raises(InconsistencyError, match="third branch point"):
+        sp.period_integrals(data)
+
+
+def test_loop_through_branch_point_is_guarded():
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    loop = sp.Loop(0.5j - 0.2, 0.2, 0.2)  # kappa(0) is the branch point i/2
+    with pytest.raises(DomainError, match="integration path passes within .* of the branch point"):
+        sp._loop_integral(data, loop, 1e-10)
+    # a loop is checked in one array expression, a short leg segment by
+    # segment: both name the same obstacle and offset
+    with pytest.raises(DomainError) as looped:
+        sp._guard_path(data, _polyline(loop, 32))
+    with pytest.raises(DomainError) as leg:
+        sp._guard_path(data, _polyline(loop, 32)[:2])
+    assert str(looped.value) == str(leg.value)
+
+
+def test_monitor_periods_skip_the_polyline_quadrature(monkeypatch):
+    # timing-free guard of the trapezoidal periods: one flow monitor makes its
+    # two lnmu_at calls and sends no period loop through integrate_dlnmu or
+    # _adaptive, so a return to polyline loops fails tier-1
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append("/" + name)
+        return wrapped
+
+    for name in ("lnmu_at", "period_integrals", "integrate_dlnmu", "_adaptive"):
+        monkeypatch.setattr(sp, name, recording(name, getattr(sp, name)))
+    flow._monitors(data)
+    assert calls.count("lnmu_at") == 2 and calls.count("period_integrals") == 1
+    inside = calls[calls.index("period_integrals") + 1: calls.index("/period_integrals")]
+    assert inside == []
 
 
 # ---------------------------------------------------------------------------
