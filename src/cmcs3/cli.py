@@ -311,13 +311,12 @@ def cmd_delta(args):
     # the branch report checks a > 0 on the window: fail before the scan and write nothing
     branch = sp.real_branch_points(data, window=(lo, hi))
     kappas = np.linspace(lo, hi, args.samples)
-    lines = ["kappa,delta,abs_le_2"]
-    all_in_range = True
-    for k in kappas:
-        d = sp.delta(data, k).real
-        flag = abs(d) <= 2.0 + args.tol
-        all_in_range = all_in_range and flag
-        lines.append(f"{k:.9g},{d:.9g},{int(flag)}")
+    deltas = sp.delta_scan(data, kappas).real
+    flags = np.abs(deltas) <= 2.0 + args.tol
+    all_in_range = bool(flags.all())
+    lines = ["kappa,delta,abs_le_2"] + [
+        f"{k:.9g},{d:.9g},{int(f)}" for k, d, f in zip(kappas.tolist(), deltas.tolist(), flags.tolist())
+    ]
     _write_atomic(args.out, "\n".join(lines) + "\n")
     if args.report:
         _write_json(
@@ -356,6 +355,16 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+def _count_at_least(least):
+    """argparse type of an integer count, rejected below least (exit 3)."""
+    def count(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return count
 
 
 def _add_data_source(p):
@@ -408,7 +417,7 @@ def build_parser():
     pf.add_argument("--dt0", type=float, default=1e-3)
     pf.add_argument("--rtol", type=float, default=1e-8)
     pf.add_argument("--monitor-tol", type=float, default=1e-6)
-    pf.add_argument("--samples", type=int, default=10, help="number of trajectory rows after t=0")
+    pf.add_argument("--samples", type=_count_at_least(0), default=10, help="number of trajectory rows after t=0")
     pf.add_argument("--out", default="trajectory.csv")
     pf.add_argument("--final-json", help="write the final state as JSON")
     pf.set_defaults(fn=cmd_flow)
@@ -416,7 +425,7 @@ def build_parser():
     pd = sub.add_parser("delta", help="scan the trace function on a real window")
     _add_data_source(pd)
     pd.add_argument("--window", type=float, nargs=2, default=[-3.0, 3.0])
-    pd.add_argument("--samples", type=int, default=241)
+    pd.add_argument("--samples", type=_count_at_least(1), default=241)
     pd.add_argument("--tol", type=float, default=1e-8)
     pd.add_argument("--out", default="delta.csv")
     pd.add_argument("--report", help="JSON branch report path")

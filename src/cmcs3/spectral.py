@@ -32,7 +32,8 @@ from .errors import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _TWO_PI_I = 2j * np.pi
-_LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta)
+_LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta, delta_scan)
+_DEPTH_CAP = 26  # bisection levels of an adaptive quadrature before ConvergenceError
 _BRANCH_TOL = 1e-8  # |theta - pi L| below which a real root of b is a double point too
 _SCAN_POINTS = 4001  # grid of the theta scan in real_branch_points
 _AT_TWO_TOL = 1e-6  # ||Delta| - 2| that weighted_genus counts as Delta = +-2
@@ -244,7 +245,7 @@ def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
     err = abs(left + right - whole)
     if err < max(tol, 1e-15 * (abs(left) + abs(right))):
         return left + right, r_b
-    if depth >= 26:
+    if depth >= _DEPTH_CAP:
         raise ConvergenceError(
             f"quadrature stalled with error estimate {err:.3e}", residual=float(err)
         )
@@ -612,19 +613,57 @@ def delta(data, kappa):
     return 2.0 * cmath.cosh(val)
 
 
+def delta_scan(data, kappas):
+    """Delta at increasing real kappas, with a > 0 from the first to the last.
+
+    ln mu is taken once, at kappas[0], and continued along the real axis on
+    the positive branch nu > 0, where d ln mu = i theta' dk needs no sheet
+    tracking.  This path and lnmu_at's own differ by a closed loop, whose
+    integral lies in 2 pi i Z when condition B holds, so Delta is the same.
+    The increments are one vectorized _adaptive: GL16 on every interval
+    against its halves, all failing intervals split at once.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    lnmu0, _ = lnmu_at(data, kappas[0])
+    theta = np.zeros(len(kappas))
+    lo, hi, owner = kappas[:-1], kappas[1:], np.arange(1, len(kappas))
+    tol = _LNMU_TOL / max(len(kappas) - 1, 1)
+    depth = 0
+    while len(owner):
+        mid = 0.5 * (lo + hi)
+        whole, left, right = np.split(_theta_increments(
+            data, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)),
+            _GL_NODES, _GL_WEIGHTS), 3)
+        halves = left + right
+        err = np.abs(halves - whole)
+        done = err < np.maximum(tol, 1e-15 * (np.abs(left) + np.abs(right)))
+        np.add.at(theta, owner[done], halves[done])
+        if done.all():
+            break
+        if depth >= _DEPTH_CAP:
+            worst = float(np.max(err[~done]))
+            raise ConvergenceError(f"theta quadrature along the real axis stalled with "
+                                   f"error estimate {worst:.3e}", residual=worst)
+        lo, mid, hi, owner = lo[~done], mid[~done], hi[~done], owner[~done]
+        lo, hi, owner = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2)
+        tol *= 0.5
+        depth += 1
+    return 2.0 * np.cosh(lnmu0 + 1j * np.cumsum(theta))
+
+
 # ---------------------------------------------------------------------------
 # Real branch diagnostics of the covering map Delta.
 
 
-def _theta_increments(data, lo, hi):
-    """Im ln mu gained from lo to hi on the positive real branch (one GL7 sum
-    per pair, vectorized over arrays of endpoints)."""
+def _theta_increments(data, lo, hi, nodes=_GL7_NODES, weights=_GL7_WEIGHTS):
+    """Im ln mu gained from lo to hi on the positive real branch (one Gauss
+    sum per pair, GL7 unless given, vectorized over arrays of endpoints)."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     halfs = 0.5 * (hi - lo)
-    ks = (0.5 * (lo + hi))[..., None] + halfs[..., None] * _GL7_NODES
+    ks = (0.5 * (lo + hi))[..., None] + halfs[..., None] * nodes
     nus = nu_real_positive(data, ks)
     vals = 2.0 * math.pi * data.b(ks) / ((ks * ks + 1.0) * nus)
-    return halfs * np.sum(_GL7_WEIGHTS * vals, axis=-1)
+    return halfs * np.sum(weights * vals, axis=-1)
 
 
 def _theta_scan(data, lo, hi, n):

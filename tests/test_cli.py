@@ -173,6 +173,7 @@ def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatc
         json.dump({"a": [-0.25, 0, 1], "b": [0, 0.5], "kappa0": 2, "kappa1": -2}, fh)
     scanned = []
     monkeypatch.setattr(sp, "delta", lambda *args: scanned.append(args))
+    monkeypatch.setattr(sp, "delta_scan", lambda *args: scanned.append(args))
     out, rep = tmp_path / "delta.csv", tmp_path / "delta.json"
     for samples in ("40", "241"):
         argv = ["delta", path, "--window", "-3", "3", "--samples", samples]
@@ -182,6 +183,51 @@ def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatc
         assert "a has real zeros" in err and "Traceback" not in err
         assert not scanned
         assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
+def test_delta_cost_does_not_grow_with_samples(tmp_path, monkeypatch):
+    # timing-free guard of the scan: ln mu is taken once per window and
+    # continued along the real axis, so a delta run makes as many lnmu_at and
+    # integrate_dlnmu calls at 41 samples as at 241, and never calls sp.delta
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("lnmu_at", "integrate_dlnmu", "delta"):
+        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    counts = []
+    rep = tmp_path / "delta.json"
+    for samples in ("41", "241"):
+        calls.clear()
+        argv = ["delta", "--family", "revolution", "--H", "0.5", "--alpha", "0.25",
+                "--window", "-3", "3", "--samples", samples]
+        assert run(argv + ["--out", str(tmp_path / "delta.csv"), "--report", str(rep)]) == 0
+        assert "delta" not in calls
+        counts.append((calls.count("lnmu_at"), calls.count("integrate_dlnmu")))
+        assert json.loads(rep.read_text())["condition_F"] is True
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--family", "clifford", "--samples", "-1"],
+        ["delta", "--family", "clifford", "--samples", "0"],
+        ["delta", "--family", "clifford", "--samples", "2.5"],
+        ["flow", "--family", "clifford", "--samples", "-3"],
+    ],
+    ids=["delta-negative", "delta-zero", "delta-fraction", "flow-negative"],
+)
+def test_bad_sample_counts_exit_schema(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "argument --samples" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_missing_dir(tmp_path):

@@ -714,3 +714,71 @@ def test_level_crossings_on_grid_points():
     got = sp._level_crossings(data, grid, theta)
     assert got == _loop_level_crossings(data, grid, theta)
     assert got[:2] == [(grid[0], 0), (grid[1], 0)]
+
+
+# ---------------------------------------------------------------------------
+# The Delta scan along the real axis against per-point Delta.
+
+
+_SCAN_CURVES = {
+    "rotational": lambda: families.revolution_family(families.RevolutionParams(0.5, 0.25))[0],
+    "mobius": _thin_ellipse,
+    "clifford": families.clifford_spectral_data,
+    "genus2": _genus2,  # fails condition B
+}
+
+
+def _assert_scan_matches_delta(data, kappas):
+    got = sp.delta_scan(data, kappas)
+    assert got.shape == (len(kappas),)
+    for kappa, d in zip(kappas, got):
+        want = sp.delta(data, kappa)
+        assert abs(d - want) <= 1e-11 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 41, 241])
+@pytest.mark.parametrize("name", sorted(_SCAN_CURVES))
+def test_delta_scan_matches_pointwise_delta(name, n):
+    _assert_scan_matches_delta(_SCAN_CURVES[name](), np.linspace(-3.0, 3.0, n))
+
+
+@pytest.mark.parametrize("name", ["rotational", "mobius", "genus2"])
+def test_delta_scan_from_a_real_root_of_b(name):
+    data = _SCAN_CURVES[name]()
+    beta = min(r.value.real for r in data.b_roots if r.is_real)
+    _assert_scan_matches_delta(data, np.linspace(beta, beta + 4.0, 41))
+
+
+@pytest.mark.parametrize("alpha,phi", [(0.25, 0.0), (0.9, 0.2)])
+def test_delta_scan_rotational_closed_form(alpha, phi):
+    data, b2 = families.revolution_family(families.RevolutionParams(0.5, alpha))
+    if phi:
+        data = sp.mobius_transform_data(data, phi)
+    c, s = math.cos(phi), math.sin(phi)
+    kappas = np.linspace(-3.0, 3.0, 241)
+    for kappa, d in zip(kappas, sp.delta_scan(data, kappas)):
+        assert abs(d - _rotational_delta((c * kappa + s) / (c - s * kappa), alpha, b2)) < 1e-9
+
+
+def test_delta_scan_past_depth_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
+    # ln mu of Clifford data has a closed form, so a zero depth cap reaches
+    # only the scan, whose one interval across [-3, 3] fails the GL16 test
+    monkeypatch.setattr(sp, "_DEPTH_CAP", 0)
+    data = families.clifford_spectral_data()
+    with pytest.raises(ConvergenceError) as exc:
+        sp.delta_scan(data, np.array([-3.0, 3.0]))
+    assert exc.value.residual is not None and exc.value.residual > 1e-10
+    out = tmp_path / "delta.csv"
+    argv = ["delta", "--family", "clifford", "--window", "-3", "3", "--samples", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: theta quadrature" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_delta_scan_needs_positive_a():
+    # a = k^2 - 1/4 < 0 between +-1/2: ln mu at -3 exists, the scan across fails
+    data = sp.SpectralData(la.RealPolynomial(np.array([-0.25, 0.0, 1.0])),
+                           la.RealPolynomial(np.array([0.0, 0.5])), 2.0, -2.0)
+    with pytest.raises(DomainError, match="a has real zeros"):
+        sp.delta_scan(data, np.linspace(-3.0, 3.0, 7))
