@@ -30,12 +30,10 @@ from .errors import (
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _TWO_PI_I = 2j * np.pi
-_LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta, delta_scan)
+_LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta, _theta_walk)
 _DEPTH_CAP = 26  # bisection levels of an adaptive quadrature before ConvergenceError
 _BRANCH_TOL = 1e-8  # |theta - pi L| below which a real root of b is a double point too
-_SCAN_POINTS = 4001  # grid of the theta scan in real_branch_points
 _AT_TWO_TOL = 1e-6  # ||Delta| - 2| that weighted_genus counts as Delta = +-2
 
 
@@ -166,15 +164,6 @@ class BranchEntry:
 def plane_key(z):
     """Sort key of a point of the kappa plane: (Re, Im), rounded to 12 decimals."""
     return round(z.real, 12), round(z.imag, 12)
-
-
-def nu_real_positive(data, kappa):
-    """The positive branch on the real axis (requires a > 0 there)."""
-    kappa = np.asarray(kappa, dtype=float)
-    vals = (kappa * kappa + 1.0) * data.a(kappa)
-    if np.any(vals <= 0):
-        raise DomainError("a has real zeros in the requested range; no positive branch")
-    return np.sqrt(vals)
 
 
 def _track(root, x_from, r_from, x_to, depth=0):
@@ -616,87 +605,103 @@ def delta(data, kappa):
 def delta_scan(data, kappas):
     """Delta at increasing real kappas, with a > 0 from the first to the last.
 
-    ln mu is taken once, at kappas[0], and continued along the real axis on
-    the positive branch nu > 0, where d ln mu = i theta' dk needs no sheet
-    tracking.  This path and lnmu_at's own differ by a closed loop, whose
-    integral lies in 2 pi i Z when condition B holds, so Delta is the same.
-    The increments are one vectorized _adaptive: GL16 on every interval
-    against its halves, all failing intervals split at once.
+    ln mu is taken once, at kappas[0], and continued by _theta_walk on the
+    positive branch nu > 0, where d ln mu = i dtheta needs no sheet tracking.
+    This path and lnmu_at's own differ by a closed loop, whose integral lies
+    in 2 pi i Z when condition B holds, so Delta is the same.
     """
-    kappas = np.asarray(kappas, dtype=float)
+    ts = np.arctan(kappas)
+    edges, theta = _theta_walk(data, np.unique(ts))
     lnmu0, _ = lnmu_at(data, kappas[0])
-    theta = np.zeros(len(kappas))
-    lo, hi, owner = kappas[:-1], kappas[1:], np.arange(1, len(kappas))
-    tol = _LNMU_TOL / max(len(kappas) - 1, 1)
+    return 2.0 * np.cosh(lnmu0 + 1j * theta[np.searchsorted(edges, ts)])
+
+
+# ---------------------------------------------------------------------------
+# theta = Im ln mu on the real circle t = arctan kappa, kappa = infinity included.
+
+
+def _theta_prime(data, ts):
+    """dtheta/dt on the positive real branch: 2 pi b~/sqrt(a~), where
+    b~ = cos^(g+1) t b(tan t) and a~ = cos^(2g) t a(tan t) are finite on the
+    whole circle (a~ = 1 at t = +-pi/2, as a is monic)."""
+    s, c = np.sin(ts), np.cos(ts)
+
+    def homogeneous(poly, n):  # sum_j p_j s^j c^(n - j)
+        return sum(p * s**j * c ** (n - j) for j, p in enumerate(poly.coeffs))
+
+    return 2.0 * math.pi * homogeneous(data.b, data.g + 1) / np.sqrt(homogeneous(data.a, 2 * data.g))
+
+
+def _theta_increments(data, lo, hi):
+    """theta gained from t = lo to hi, one GL16 sum per pair, vectorized over
+    arrays of endpoints."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    halfs = 0.5 * (hi - lo)
+    ts = (0.5 * (lo + hi))[..., None] + halfs[..., None] * _GL_NODES
+    return halfs * np.sum(_GL_WEIGHTS * _theta_prime(data, ts), axis=-1)
+
+
+def _theta_walk(data, ts):
+    """(edges, theta - theta(ts[0])) of the cells of one adaptive GL16 pass
+    over the strictly increasing ts in [-pi/2, pi/2]; every ts is an edge.
+
+    GL16 on each cell is tested against the sum over its halves (_adaptive's
+    test, tolerance _LNMU_TOL/(len(ts) - 1) per starting cell): the halves of
+    a passing cell are accepted, all failing cells split at once with half the
+    tolerance.  The real roots of a decide a > 0 before any quadrature.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if any(r.is_real and ts[0] <= np.arctan(r.value.real) <= ts[-1] for r in data.a_roots):
+        raise DomainError("a has real zeros in the requested range; no positive branch")
+    lo, hi = ts[:-1], ts[1:]
+    tol = _LNMU_TOL / max(len(ts) - 1, 1)
+    starts, gains = [ts[:0]], [ts[:0]]
     depth = 0
-    while len(owner):
+    while len(lo):
         mid = 0.5 * (lo + hi)
         whole, left, right = np.split(_theta_increments(
-            data, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)),
-            _GL_NODES, _GL_WEIGHTS), 3)
-        halves = left + right
-        err = np.abs(halves - whole)
+            data, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))), 3)
+        err = np.abs(left + right - whole)
         done = err < np.maximum(tol, 1e-15 * (np.abs(left) + np.abs(right)))
-        np.add.at(theta, owner[done], halves[done])
+        starts += [lo[done], mid[done]]
+        gains += [left[done], right[done]]
         if done.all():
             break
         if depth >= _DEPTH_CAP:
             worst = float(np.max(err[~done]))
             raise ConvergenceError(f"theta quadrature along the real axis stalled with "
                                    f"error estimate {worst:.3e}", residual=worst)
-        lo, mid, hi, owner = lo[~done], mid[~done], hi[~done], owner[~done]
-        lo, hi, owner = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2)
+        lo, hi = np.concatenate((lo[~done], mid[~done])), np.concatenate((mid[~done], hi[~done]))
         tol *= 0.5
         depth += 1
-    return 2.0 * np.cosh(lnmu0 + 1j * np.cumsum(theta))
+    starts, gains = np.concatenate(starts), np.concatenate(gains)
+    order = np.argsort(starts)
+    return np.append(starts[order], ts[-1]), np.concatenate(([0.0], np.cumsum(gains[order])))
 
 
-# ---------------------------------------------------------------------------
-# Real branch diagnostics of the covering map Delta.
-
-
-def _theta_increments(data, lo, hi, nodes=_GL7_NODES, weights=_GL7_WEIGHTS):
-    """Im ln mu gained from lo to hi on the positive real branch (one Gauss
-    sum per pair, GL7 unless given, vectorized over arrays of endpoints)."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    halfs = 0.5 * (hi - lo)
-    ks = (0.5 * (lo + hi))[..., None] + halfs[..., None] * nodes
-    nus = nu_real_positive(data, ks)
-    vals = 2.0 * math.pi * data.b(ks) / ((ks * ks + 1.0) * nus)
-    return halfs * np.sum(weights * vals, axis=-1)
-
-
-def _theta_scan(data, lo, hi, n):
-    """Im ln mu on the positive real branch over a grid."""
-    grid = np.linspace(lo, hi, n)
-    increments = _theta_increments(data, grid[:-1], grid[1:])
-    theta0 = lnmu_at(data, lo)[0].imag
-    theta = np.concatenate([[theta0], theta0 + np.cumsum(increments)])
-    return grid, theta
-
-
-def _refine_crossing(data, k_lo, th_lo, k_hi, th_hi, level):
-    """Bisect theta - pi*level to a root between the bracketing grid points."""
-    f_lo = th_lo - math.pi * level
+def _refine_crossing(data, t_lo, th_lo, t_hi, level):
+    """theta = pi*level in the cell [t_lo, t_hi], where theta is monotone:
+    Newton steps from t_lo, a bisection of the bracket wherever a step would
+    leave it, until the step or the bracket is below 1e-13 relative in kappa."""
+    target, t, th, side = math.pi * level, t_lo, th_lo, th_lo - math.pi * level
     for _ in range(80):
-        if k_hi - k_lo < 1e-13 * max(1.0, abs(k_lo)):
-            break
-        mid = 0.5 * (k_lo + k_hi)
-        th_mid = th_lo + _theta_increments(data, k_lo, mid)
-        f_mid = th_mid - math.pi * level
-        if f_lo * f_mid <= 0:
-            k_hi = mid
-        else:
-            k_lo, th_lo, f_lo = mid, th_mid, f_mid
-    return 0.5 * (k_lo + k_hi)
+        k, slope = math.tan(t), float(_theta_prime(data, t))
+        step = (target - th) / slope if slope else math.inf
+        if abs(step) * (1.0 + k * k) < 1e-13 * max(1.0, abs(k)):
+            return t + step
+        t_new = t + step if t_lo < t + step < t_hi else 0.5 * (t_lo + t_hi)
+        t, th = t_new, th + float(_theta_increments(data, t, t_new))
+        t_lo, t_hi = (t, t_hi) if (th - target) * side > 0 else (t_lo, t)
+        if math.tan(t_hi) - math.tan(t_lo) < 1e-13 * max(1.0, abs(math.tan(t_lo))):
+            return 0.5 * (t_lo + t_hi)
+    return t
 
 
-def _level_crossings(data, grid, theta):
-    """(kappa, L) where theta crosses pi L on the grid, sorted by kappa.
+def _level_crossings(data, edges, theta):
+    """(t, L) where theta crosses pi L in the cells of a walk, sorted by t.
 
-    Grid steps whose levels differ are refined one crossing per level; a grid
-    point with theta on a level in a step that keeps its level is a crossing
-    itself.
+    Cells whose levels differ are refined one crossing per level; an edge
+    with theta on a level in a cell that keeps its level is a crossing itself.
     """
     ratio = theta[:-1] / math.pi
     levels_lo = np.floor(ratio)
@@ -706,22 +711,56 @@ def _level_crossings(data, grid, theta):
     crossings = []
     for i in np.flatnonzero((levels_lo != levels_hi) | on_level):
         if on_level[i]:
-            crossings.append((grid[i], int(nearest[i])))
+            crossings.append((edges[i], int(nearest[i])))
             continue
         l0, l1 = int(levels_lo[i]), int(levels_hi[i])
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
-            k_star = _refine_crossing(data, grid[i], theta[i], grid[i + 1], theta[i + 1], level)
-            crossings.append((k_star, level))
-    # A grid point sitting exactly on a level is found twice: once by the
-    # endpoint test and once by refining the adjacent interval.  Merge.
+            t_star = _refine_crossing(data, edges[i], theta[i], edges[i + 1], level)
+            crossings.append((t_star, level))
+    # An edge sitting exactly on a level is found twice: once by the edge
+    # test and once by refining the adjacent cell.  Merge.
     crossings.sort(key=lambda c: c[0])
     merged = []
-    for k_star, level in crossings:
+    for t_star, level in crossings:
         same = merged and merged[-1][1] == level
-        if same and abs(k_star - merged[-1][0]) < 1e-7 * max(1.0, abs(k_star)):
+        if same and abs(t_star - merged[-1][0]) < 1e-7 * max(1.0, abs(t_star)):
             continue
-        merged.append((k_star, level))
+        merged.append((t_star, level))
     return merged
+
+
+def _branch_report(data, lo, hi, anchor):
+    """real_branch_points on [lo, hi], theta anchored by lnmu_at(anchor).
+
+    lo, hi = -inf, inf walk the whole circle and enter kappa = infinity, both
+    ends of the walk, as a root of b of multiplicity g+1-deg b.  A point on a
+    level (m = 0 too) drops the crossings of that level in its cells, where
+    rounding of theta scatters them.
+    """
+    roots = [r for r in data.b_roots if r.is_real and lo <= r.value.real <= hi]
+    t_roots = np.arctan([r.value.real for r in roots])
+    edges, theta = _theta_walk(data, np.unique(np.r_[np.arctan([lo, hi, anchor]), t_roots]))
+    theta += lnmu_at(data, anchor)[0].imag - theta[np.searchsorted(edges, np.arctan(anchor))]
+    crossings = _level_crossings(data, edges, theta)
+    points = [(r.value.real, r.multiplicity, [np.searchsorted(edges, t)])
+              for r, t in zip(roots, t_roots)]
+    if hi == math.inf:
+        points.append((math.inf, data.g + 1 - data.b.degree, [0, len(edges) - 1]))
+    entries = []
+    for kappa, m, at in points:
+        level = round(theta[at[0]] / math.pi)
+        if abs(theta[at[0]] - math.pi * level) >= _BRANCH_TOL:
+            entries += [BranchEntry(kappa, 2.0 * math.cos(theta[at[0]]), m, "b_root")] if m else []
+            continue
+        kind = "both" if m else "double_point"
+        entries.append(BranchEntry(kappa, 2.0 * ((-1.0) ** level), 2 * m + 1, kind))
+        for i in at:
+            level, (t0, t1) = round(theta[i] / math.pi), edges[np.clip([i - 1, i + 1], 0, len(edges) - 1)]
+            crossings = [c for c in crossings if c[1] != level or not t0 <= c[0] <= t1]
+    entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point")
+               for t, level in crossings] + entries
+    entries.sort(key=lambda e: e.kappa.real)
+    return entries
 
 
 def real_branch_points(data, window=(-10.0, 10.0)):
@@ -729,78 +768,37 @@ def real_branch_points(data, window=(-10.0, 10.0)):
 
     Returns BranchEntry items sorted by kappa.  A real root beta of b of
     multiplicity m with theta = Im ln mu within _BRANCH_TOL of pi L gives
-    (beta, 2(-1)^L, 2m+1, "both"), and the crossings of level L within one
-    scan step of beta (scattered there by rounding of the cumulative theta)
-    are dropped.  Other roots of b are "b_root" of order m, other crossings
-    double points of order 1.  Requires a > 0 on the window (no real nodes).
+    (beta, 2(-1)^L, 2m+1, "both").  Other roots of b are "b_root" of order m,
+    other crossings double points of order 1.  theta is one _theta_walk from
+    lnmu_at(window[0]) with the roots of b among its edges, monotone in each
+    cell.  Requires a > 0 on the window (no real nodes).
     """
     lo, hi = float(window[0]), float(window[1])
-    grid, theta = _theta_scan(data, lo, hi, _SCAN_POINTS)
-    crossings = _level_crossings(data, grid, theta)
-
-    # roots of b in the window.
-    at_roots = []
-    step = grid[1] - grid[0]
-    for root in data.b_roots:
-        k = root.value.real
-        if not root.is_real or not lo <= k <= hi:
-            continue
-        theta_k = lnmu_at(data, k)[0].imag
-        level = round(theta_k / math.pi)
-        if abs(theta_k - math.pi * level) < _BRANCH_TOL:
-            order = 2 * root.multiplicity + 1
-            at_roots.append(BranchEntry(k, 2.0 * ((-1.0) ** level), order, "both"))
-            crossings = [c for c in crossings if c[1] != level or abs(c[0] - k) > step]
-        else:
-            at_roots.append(BranchEntry(k, 2.0 * math.cos(theta_k), root.multiplicity, "b_root"))
-    entries = [BranchEntry(k, 2.0 * ((-1.0) ** level), 1, "double_point") for k, level in crossings]
-    entries += at_roots
-    entries.sort(key=lambda e: e.kappa.real)
-    return entries
+    return _branch_report(data, lo, hi, lo)
 
 
 def g_invariant(data):
     """Integer invariant: half the non-real zero count of b on the curve, plus
-    the number of real double points (mu = +-1), minus one.
+    the number of real double points (mu = +-1) on RP^1, minus one.
 
+    RP^1 is one walk of t = arctan kappa over [-pi/2, pi/2] from lnmu_at(0).
     Returns (G, details) where details carries both raw counts (see the
     caveats around genus-zero cylinders: the two counting rules in the source
     material disagree there, so both numbers are reported).
     """
-    b_roots = data.b_roots
-    a_root_vals = data.obstacles
     nonreal_curve_points = 0
-    for root in b_roots:
+    for root in data.b_roots:
         if root.is_real:
             continue
-        on_branch = any(abs(root.value - v) < 1e-8 for v in a_root_vals)
+        on_branch = any(abs(root.value - v) < 1e-8 for v in data.obstacles)
         nonreal_curve_points += root.multiplicity * (1 if on_branch else 2)
-
-    w = max(
-        [10.0]
-        + [2.0 * abs(r.value) + 1.0 for r in b_roots]
-        + [2.0 * abs(v) + 1.0 for v in a_root_vals]
-        + [2.0 * abs(data.kappa0) + 1.0, 2.0 * abs(data.kappa1) + 1.0]
-    )
-    window = (-w, w)
-    # Double the window at most six times, stopping once theta gains less
-    # than 1e-6 over each of [w, 2w] and [-2w, -w].  theta has a finite limit
-    # at +-infinity, but on rotational data that tail decays only like 1/w,
-    # so all six doublings run and the window ends 64 times wider.
-    for _ in range(6):
-        w0, w1 = window
-        tails = _theta_increments(data, [w1, 2.0 * w0], [2.0 * w1, w0])
-        if np.max(np.abs(tails)) < 1e-6:
-            break
-        window = (2.0 * w0, 2.0 * w1)
-    report = real_branch_points(data, window=window)
+    report = _branch_report(data, -math.inf, math.inf, 0.0)
     doubles = [e for e in report if e.kind in ("double_point", "both")]
     g_val = nonreal_curve_points // 2 + len(doubles) - 1
     details = {
         "nonreal_curve_points": nonreal_curve_points,
         "real_double_points": len(doubles),
         "real_delta_prime_zeros": len(report),
-        "window": [float(window[0]), float(window[1])],
         "naive_count": nonreal_curve_points // 2 + len(report) - 1,
     }
     return g_val, details

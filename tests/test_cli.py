@@ -20,6 +20,10 @@ def test_check_revolution_passes(tmp_path, capsys):
         rep = json.load(fh)
     assert rep["A"] and rep["B"]["pass"] and rep["C"]["pass"]
     assert rep["G"] == 1
+    # the walk covers kappa = infinity, a simple root of b = b1 k: one more
+    # real zero of Delta' than the finite roots and crossings
+    assert rep["G_details"] == {"nonreal_curve_points": 0, "real_double_points": 2,
+                                "real_delta_prime_zeros": 4, "naive_count": 3}
     kappas = sorted(
         e["kappa"] for e in rep["branch_points"] if e["kind"] in ("double_point", "both")
     )
@@ -183,6 +187,23 @@ def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatc
         assert "a has real zeros" in err and "Traceback" not in err
         assert not scanned
         assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
+@pytest.mark.parametrize("window", [("-10", "10"), ("-3", "3")])
+def test_delta_close_real_roots_of_a_exit_schema(tmp_path, capsys, monkeypatch, window):
+    # a = (k - 1)(k - 1.0001) < 0 between its roots: the roots of a decide
+    # a > 0, before any ln mu and whatever the window, so both exit 3
+    path = str(tmp_path / "data.json")
+    with open(path, "w") as fh:
+        json.dump({"a": [1.0001, -2.0001, 1], "b": [0, 0.5], "kappa0": 3, "kappa1": -3}, fh)
+    calls = []
+    monkeypatch.setattr(sp, "lnmu_at", lambda *args: calls.append(args))
+    out = tmp_path / "delta.csv"
+    code = run(["delta", path, "--window", *window, "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "a has real zeros" in err and "Traceback" not in err
+    assert not calls and not out.exists()
 
 
 def test_delta_cost_does_not_grow_with_samples(tmp_path, monkeypatch):

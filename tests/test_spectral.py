@@ -66,13 +66,6 @@ def test_branch_points(revolution_quarter):
     assert np.max(np.abs(np.array(pts) - np.array(expect))) < 1e-8
 
 
-def test_nu_real_positive(revolution_quarter):
-    ks = np.linspace(-3.0, 3.0, 13)
-    vals = sp.nu_real_positive(revolution_quarter, ks)
-    assert np.min(vals) > 0.0
-    assert np.max(np.abs(vals**2 - revolution_quarter.p(ks).real)) < 1e-10
-
-
 def test_clifford_lnmu_closed_form(clifford_data):
     val, nu0 = sp.lnmu_at(clifford_data, 1.0)
     assert abs(val - 1j * math.pi) < 1e-10
@@ -87,7 +80,7 @@ def test_lnmu_sheet_antisymmetry(revolution_quarter):
     k = 1.7
     v_pos, nu_pos = sp.lnmu_at(revolution_quarter, k)
     path = sp.safe_path(revolution_quarter, 0.9, k)
-    nu_start = -sp.nu_real_positive(revolution_quarter, 0.9)
+    nu_start = -math.sqrt(revolution_quarter.p(0.9).real)
     seg_neg, _ = sp.integrate_dlnmu(revolution_quarter, path, nu_start=nu_start)
     seg_pos, _ = sp.integrate_dlnmu(
         revolution_quarter, path, nu_start=-nu_start
@@ -170,10 +163,10 @@ def test_real_branch_points_revolution(revolution_quarter):
     assert np.allclose(kappas, [-1.0, 1.0], atol=1e-7)
 
 
-def _tangency():
+def _tangency(detune=0.0):
     return sp.SpectralData(
         la.RealPolynomial(np.array([0.25, 0.0, 1.0])),
-        la.RealPolynomial(np.array([0.0, 0.75])),
+        la.RealPolynomial(np.array([0.0, 0.75 * (1.0 - detune)])),
         2.0,
         -2.0,
     )
@@ -186,10 +179,32 @@ _TANGENCY_WINDOWS = [(-10.0, 10.0), (-1.0, 1.0), (-640.0, 640.0), (-3.0, 3.0), (
 def test_real_branch_points_tangency_at_root_of_b(window):
     # Delta(0) = 2 cos(2 pi sqrt(1/4)) = -2 at the root of b = 3k/4: theta is
     # tangent to pi there, which makes k = 0 one branch point of order 3,
-    # whatever the window and its scan grid
+    # whatever the window
     report = sp.real_branch_points(_tangency(), window=window)
     assert [(e.kind, e.order) for e in report] == [("both", 3)]
     assert report[0].kappa == 0.0 and report[0].delta == -2.0
+    # detuned by 1e-7, theta dips to pi (1 - 1e-7) at 0 and crosses pi at
+    # +-k*, where 2 pi (1 - 1e-7) sqrt((k^2 + 1/4)/(k^2 + 1)) = pi: a close
+    # pair of double points on either side of the root of b
+    q = 0.25 / (1.0 - 1e-7) ** 2
+    k_star = math.sqrt((q - 0.25) / (1.0 - q))  # 2.58e-4
+    report = sp.real_branch_points(_tangency(1e-7), window=window)
+    assert [(e.kind, e.order) for e in report] == [("double_point", 1), ("b_root", 1),
+                                                   ("double_point", 1)]
+    assert report[1].kappa == 0.0
+    assert np.allclose([e.kappa for e in report], [-k_star, 0.0, k_star], rtol=0.0, atol=1e-9)
+    assert report[0].delta == report[2].delta == -2.0
+
+
+def test_crossings_on_a_wide_window_match_the_closed_form():
+    # revolution (0.5, 0.25) moved by phi = 0.01: mu = +-1 at the images
+    # (c k - s)/(c + s k) of the marked points +-k0, on a window of +-12863.57
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    c, s = math.cos(0.01), math.sin(0.01)
+    want = sorted((c * k - s) / (c + s * k) for k in (data.kappa0, -data.kappa0))
+    report = sp.real_branch_points(sp.mobius_transform_data(data, 0.01), window=(-12863.57, 12863.57))
+    doubles = [e.kappa for e in report if e.kind == "double_point"]
+    assert np.allclose(doubles, want, rtol=0.0, atol=1e-9)
 
 
 def test_g_invariant_counts_nonreal_roots_of_b():
@@ -207,6 +222,54 @@ def test_g_invariant(clifford_data, revolution_quarter):
     g_r, det_r = sp.g_invariant(revolution_quarter)
     assert g_r == 1
     assert det_r["real_double_points"] == 2
+
+
+def test_g_invariant_anchors_once_at_zero(revolution_quarter, monkeypatch):
+    # one walk over the whole circle: ln mu is taken at kappa = 0 only
+    calls = []
+    lnmu_at = sp.lnmu_at
+    monkeypatch.setattr(sp, "lnmu_at", lambda data, k: calls.append(k) or lnmu_at(data, k))
+    sp.g_invariant(revolution_quarter)
+    assert calls == [0.0]
+
+
+def test_g_invariant_counts_the_tangency_at_infinity():
+    # b = 3k/4 has deg b = g, so kappa = infinity is a simple root of b, and
+    # theta(infinity) = 2 pi: a second point of order 3 besides kappa = 0
+    g_val, details = sp.g_invariant(_tangency())
+    assert g_val == 1
+    assert details == {"nonreal_curve_points": 0, "real_double_points": 2,
+                       "real_delta_prime_zeros": 2, "naive_count": 1}
+
+
+def _invariant_curves():
+    rot, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    wide, _ = families.revolution_family(families.RevolutionParams(1.3, 0.7))
+    return [
+        ("rotational", rot),
+        ("rotational-wide", wide),
+        ("mobius", sp.mobius_transform_data(wide, -0.17)),
+        ("thin-ellipse", _thin_ellipse()),
+        ("clifford", families.clifford_spectral_data()),
+        ("tangency", _tangency()),
+    ]
+
+
+def test_g_invariant_is_mobius_invariant(rng):
+    # curves that pass A and B (the genus-2 curve fails B, so mu is not
+    # defined on it); phi that sends a branch point or a marked point to
+    # infinity is skipped
+    keys = ("real_double_points", "real_delta_prime_zeros")
+    for name, data in _invariant_curves():
+        g_val, details = sp.g_invariant(data)
+        for phi in rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 4):
+            try:
+                moved = sp.mobius_transform_data(data, phi)
+            except DomainError:
+                continue
+            g_moved, moved_details = sp.g_invariant(moved)
+            got = (g_moved, [moved_details[k] for k in keys])
+            assert got == (g_val, [details[k] for k in keys]), (name, phi)
 
 
 def test_weighted_genus_arithmetic():
@@ -671,7 +734,7 @@ def _loop_level_crossings(data, grid, theta):
                 crossings.append((grid[i], int(round(theta[i] / math.pi))))
             continue
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
-            k_star = sp._refine_crossing(data, grid[i], theta[i], grid[i + 1], theta[i + 1], level)
+            k_star = sp._refine_crossing(data, grid[i], theta[i], grid[i + 1], level)
             crossings.append((k_star, level))
     crossings.sort(key=lambda c: c[0])
     merged = []
@@ -699,7 +762,10 @@ def _crossing_cases():
 
 @pytest.mark.parametrize("name,data,window", _crossing_cases())
 def test_level_crossings_match_grid_loop(name, data, window):
-    grid, theta = sp._theta_scan(data, window[0], window[1], sp._SCAN_POINTS)
+    # the cells of the walk of real_branch_points: the roots of b are edges
+    roots = [r.value.real for r in data.b_roots if r.is_real and window[0] <= r.value.real <= window[1]]
+    grid, theta = sp._theta_walk(data, np.unique(np.arctan(list(window) + roots)))
+    theta = theta + sp.lnmu_at(data, window[0])[0].imag
     got = sp._level_crossings(data, grid, theta)
     assert got == _loop_level_crossings(data, grid, theta)
     assert got or name.startswith("tangency")
@@ -761,15 +827,18 @@ def test_delta_scan_rotational_closed_form(alpha, phi):
 
 
 def test_delta_scan_past_depth_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
-    # ln mu of Clifford data has a closed form, so a zero depth cap reaches
-    # only the scan, whose one interval across [-3, 3] fails the GL16 test
+    # the walk runs before any lnmu_at, so a zero depth cap meets it first:
+    # on revolution (0.5, 0.05) the branch points +-0.22i sit 0.23 off the
+    # real t-axis, and GL16 fails on the one cell over [-2, 3] as on the two
+    # cells of the branch report, split at the root 0 of b
     monkeypatch.setattr(sp, "_DEPTH_CAP", 0)
-    data = families.clifford_spectral_data()
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.05))
     with pytest.raises(ConvergenceError) as exc:
-        sp.delta_scan(data, np.array([-3.0, 3.0]))
+        sp.delta_scan(data, np.array([-2.0, 3.0]))
     assert exc.value.residual is not None and exc.value.residual > 1e-10
     out = tmp_path / "delta.csv"
-    argv = ["delta", "--family", "clifford", "--window", "-3", "3", "--samples", "2"]
+    argv = ["delta", "--family", "revolution", "--H", "0.5", "--alpha", "0.05",
+            "--window", "-2", "3", "--samples", "2"]
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure: theta quadrature" in err and "Traceback" not in err
