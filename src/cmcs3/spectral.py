@@ -603,7 +603,7 @@ def delta(data, kappa):
 
 
 def delta_scan(data, kappas):
-    """Delta at increasing real kappas, with a > 0 from the first to the last.
+    """Delta at real kappas, in any order, with a > 0 between them.
 
     ln mu is taken once, at kappas[0], and continued by _theta_walk on the
     positive branch nu > 0, where d ln mu = i dtheta needs no sheet tracking.
@@ -613,7 +613,8 @@ def delta_scan(data, kappas):
     ts = np.arctan(kappas)
     edges, theta = _theta_walk(data, np.unique(ts))
     lnmu0, _ = lnmu_at(data, kappas[0])
-    return 2.0 * np.cosh(lnmu0 + 1j * theta[np.searchsorted(edges, ts)])
+    theta = theta[np.searchsorted(edges, ts)] - theta[np.searchsorted(edges, ts[0])]
+    return 2.0 * np.cosh(lnmu0 + 1j * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +649,13 @@ def _theta_walk(data, ts):
     GL16 on each cell is tested against the sum over its halves (_adaptive's
     test, tolerance _LNMU_TOL/(len(ts) - 1) per starting cell): the halves of
     a passing cell are accepted, all failing cells split at once with half the
-    tolerance.  The real roots of a decide a > 0 before any quadrature.
+    tolerance.  a > 0 is decided before any quadrature: no real root of a in
+    the range, and so one sign there, positive at its middle.
     """
     ts = np.asarray(ts, dtype=float)
-    if any(r.is_real and ts[0] <= np.arctan(r.value.real) <= ts[-1] for r in data.a_roots):
-        raise DomainError("a has real zeros in the requested range; no positive branch")
+    if (any(r.is_real and ts[0] <= np.arctan(r.value.real) <= ts[-1] for r in data.a_roots)
+            or data.a(math.tan(0.5 * (ts[0] + ts[-1]))) <= 0):
+        raise DomainError("a has real zeros and is not positive on the range; no positive branch")
     lo, hi = ts[:-1], ts[1:]
     tol = _LNMU_TOL / max(len(ts) - 1, 1)
     starts, gains = [ts[:0]], [ts[:0]]
@@ -667,7 +670,7 @@ def _theta_walk(data, ts):
         gains += [left[done], right[done]]
         if done.all():
             break
-        if depth >= _DEPTH_CAP:
+        if depth >= _DEPTH_CAP or not np.isfinite(err).all():
             worst = float(np.max(err[~done]))
             raise ConvergenceError(f"theta quadrature along the real axis stalled with "
                                    f"error estimate {worst:.3e}", residual=worst)
@@ -680,21 +683,19 @@ def _theta_walk(data, ts):
 
 
 def _refine_crossing(data, t_lo, th_lo, t_hi, level):
-    """theta = pi*level in the cell [t_lo, t_hi], where theta is monotone:
-    Newton steps from t_lo, a bisection of the bracket wherever a step would
-    leave it, until the step or the bracket is below 1e-13 relative in kappa."""
-    target, t, th, side = math.pi * level, t_lo, th_lo, th_lo - math.pi * level
+    """Bisect theta - pi*level in t to a root in the cell [t_lo, t_hi], until
+    the bracket is below 1e-13 relative in kappa or a few ulps of t."""
     for _ in range(80):
-        k, slope = math.tan(t), float(_theta_prime(data, t))
-        step = (target - th) / slope if slope else math.inf
-        if abs(step) * (1.0 + k * k) < 1e-13 * max(1.0, abs(k)):
-            return t + step
-        t_new = t + step if t_lo < t + step < t_hi else 0.5 * (t_lo + t_hi)
-        t, th = t_new, th + float(_theta_increments(data, t, t_new))
-        t_lo, t_hi = (t, t_hi) if (th - target) * side > 0 else (t_lo, t)
-        if math.tan(t_hi) - math.tan(t_lo) < 1e-13 * max(1.0, abs(math.tan(t_lo))):
-            return 0.5 * (t_lo + t_hi)
-    return t
+        if (math.tan(t_hi) - math.tan(t_lo) < 1e-13 * max(1.0, abs(math.tan(t_lo)))
+                or t_hi - t_lo <= 4 * math.ulp(abs(t_lo) + abs(t_hi))):
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        th_mid = th_lo + float(_theta_increments(data, t_lo, mid))
+        if (th_lo - math.pi * level) * (th_mid - math.pi * level) <= 0:
+            t_hi = mid
+        else:
+            t_lo, th_lo = mid, th_mid
+    return 0.5 * (t_lo + t_hi)
 
 
 def _level_crossings(data, edges, theta):

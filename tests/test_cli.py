@@ -189,13 +189,19 @@ def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatc
         assert sorted(os.listdir(tmp_path)) == ["data.json"]
 
 
-@pytest.mark.parametrize("window", [("-10", "10"), ("-3", "3")])
-def test_delta_close_real_roots_of_a_exit_schema(tmp_path, capsys, monkeypatch, window):
+@pytest.mark.parametrize("a,window", [
+    ([1.0001, -2.0001, 1], ("-10", "10")),
+    ([1.0001, -2.0001, 1], ("-3", "3")),
+    ([2, -3, 1], ("1.2", "1.8")),
+])
+def test_delta_close_real_roots_of_a_exit_schema(tmp_path, capsys, monkeypatch, a, window):
     # a = (k - 1)(k - 1.0001) < 0 between its roots: the roots of a decide
-    # a > 0, before any ln mu and whatever the window, so both exit 3
+    # a > 0, before any ln mu and whatever the window, so both exit 3; so
+    # does a window between the roots 1 and 2 of a = (k - 1)(k - 2), where
+    # a < 0 throughout and no root lies in the window
     path = str(tmp_path / "data.json")
     with open(path, "w") as fh:
-        json.dump({"a": [1.0001, -2.0001, 1], "b": [0, 0.5], "kappa0": 3, "kappa1": -3}, fh)
+        json.dump({"a": a, "b": [0, 0.5], "kappa0": 3, "kappa1": -3}, fh)
     calls = []
     monkeypatch.setattr(sp, "lnmu_at", lambda *args: calls.append(args))
     out = tmp_path / "delta.csv"

@@ -207,6 +207,23 @@ def test_crossings_on_a_wide_window_match_the_closed_form():
     assert np.allclose(doubles, want, rtol=0.0, atol=1e-9)
 
 
+def test_crossing_at_large_kappa_stops_at_the_resolution_of_t(monkeypatch):
+    # moved so that the marked point k0 lands at kappa = 1e3, where
+    # neighbouring floats of t are 2.2e-10 apart in kappa, more than 1e-13
+    # relative: the bisection stops on the bracket in t instead
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    phi = math.atan(data.kappa0) - math.atan(1e3)
+    moved = sp.mobius_transform_data(data, phi)
+    edges, theta = sp._theta_walk(moved, np.arctan([500.0, 2000.0]))
+    theta += sp.lnmu_at(moved, 500.0)[0].imag
+    calls = []
+    increments = sp._theta_increments
+    monkeypatch.setattr(sp, "_theta_increments", lambda *args: calls.append(1) or increments(*args))
+    crossings = sp._level_crossings(moved, edges, theta)
+    assert len(crossings) == 1 and abs(math.tan(crossings[0][0]) / 1e3 - 1.0) < 1e-9
+    assert len(calls) < 60
+
+
 def test_g_invariant_counts_nonreal_roots_of_b():
     # roots of b off the branch points count twice (both sheets), on them once
     a = la.RealPolynomial(np.array([0.25, 0.0, 1.0]))
@@ -826,6 +843,16 @@ def test_delta_scan_rotational_closed_form(alpha, phi):
         assert abs(d - _rotational_delta((c * kappa + s) / (c - s * kappa), alpha, b2)) < 1e-9
 
 
+def test_delta_scan_in_any_order():
+    # ln mu is anchored at kappas[0], which need not be the smallest sample
+    data = _SCAN_CURVES["mobius"]()
+    kappas = np.array([1.3, -2.0, 2.7, 0.4, -0.9])
+    _assert_scan_matches_delta(data, kappas)
+    order = np.argsort(kappas)
+    assert np.allclose(sp.delta_scan(data, kappas[order]), sp.delta_scan(data, kappas)[order],
+                       rtol=0.0, atol=1e-11)
+
+
 def test_delta_scan_past_depth_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
     # the walk runs before any lnmu_at, so a zero depth cap meets it first:
     # on revolution (0.5, 0.05) the branch points +-0.22i sit 0.23 off the
@@ -851,3 +878,6 @@ def test_delta_scan_needs_positive_a():
                            la.RealPolynomial(np.array([0.0, 0.5])), 2.0, -2.0)
     with pytest.raises(DomainError, match="a has real zeros"):
         sp.delta_scan(data, np.linspace(-3.0, 3.0, 7))
+    # a window wholly between the roots holds no root of a, but a < 0 on it
+    with pytest.raises(DomainError, match="a has real zeros"):
+        sp.delta_scan(data, np.linspace(-0.4, 0.4, 7))
