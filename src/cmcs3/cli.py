@@ -206,7 +206,8 @@ def cmd_surface(args):
 
 def _branch_json(branch):
     return [
-        {"kappa": e.kappa.real, "delta": complex(e.delta).real, "order": e.order, "kind": e.kind}
+        {"kappa": e.kappa.real, "delta": complex(e.delta).real, "order": e.order, "kind": e.kind,
+         "kappa_err": e.kappa_err}
         for e in branch
     ]
 

@@ -155,6 +155,7 @@ class BranchEntry:
     delta: complex
     order: int
     kind: str  # "double_point", "b_root", or "both"
+    kappa_err: float | None = None  # of a crossing: 2 _LNMU_TOL / |dtheta/dkappa| there
 
 
 # ---------------------------------------------------------------------------
@@ -682,42 +683,57 @@ def _theta_walk(data, ts):
     return np.append(starts[order], ts[-1]), np.concatenate(([0.0], np.cumsum(gains[order])))
 
 
-def _refine_crossing(data, t_lo, th_lo, t_hi, level):
-    """Bisect theta - pi*level in t to a root in the cell [t_lo, t_hi], until
-    the bracket is below 1e-13 relative in kappa or a few ulps of t."""
+def _newton_crossings(data, t_lo, th_lo, t_hi, th_hi, levels):
+    """Roots of theta - pi*levels in the cells [t_lo, t_hi], all at once, by
+    safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the secant points.
+
+    theta(t) = th_lo + GL16 on [t_lo, t]: one _theta_increments call per
+    iteration for all crossings.  A step that leaves its bracket or does not
+    halve the one before is a bisection.  A crossing stops at a step below
+    1e-13 relative in kappa or 4 ulps of t; past the cap, at its bracket's middle.
+    """
+    target = math.pi * levels
+    lo, hi = t_lo.copy(), t_hi.copy()
+    t = t_lo + (t_hi - t_lo) * (target - th_lo) / (th_hi - th_lo)
+    step, i = t_hi - t_lo, np.arange(len(t))
     for _ in range(80):
-        if (math.tan(t_hi) - math.tan(t_lo) < 1e-13 * max(1.0, abs(math.tan(t_lo)))
-                or t_hi - t_lo <= 4 * math.ulp(abs(t_lo) + abs(t_hi))):
+        if not len(i):
             break
-        mid = 0.5 * (t_lo + t_hi)
-        th_mid = th_lo + float(_theta_increments(data, t_lo, mid))
-        if (th_lo - math.pi * level) * (th_mid - math.pi * level) <= 0:
-            t_hi = mid
-        else:
-            t_lo, th_lo = mid, th_mid
-    return 0.5 * (t_lo + t_hi)
+        f = th_lo[i] + _theta_increments(data, t_lo[i], t[i]) - target[i]
+        df = _theta_prime(data, t[i])
+        left = np.sign(f) == np.sign(th_lo[i] - target[i])
+        lo[i[left]], hi[i[~left]] = t[i[left]], t[i[~left]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = t[i] - np.where(f == 0, 0.0, f / df)
+        bisect = ~((lo[i] <= new) & (new <= hi[i])) | (np.abs(2 * f) > np.abs(step[i] * df))
+        new = np.where(bisect, 0.5 * (lo[i] + hi[i]), new)
+        step[i], t[i], c = np.abs(new - t[i]), new, np.abs(np.cos(new))
+        tol = np.maximum(1e-13 * c * np.maximum(c, np.abs(np.sin(new))), 4 * np.spacing(np.abs(new)))
+        i = i[(step[i] > tol) & (hi[i] - lo[i] > tol)]
+    t[i] = 0.5 * (lo[i] + hi[i])
+    return t
 
 
 def _level_crossings(data, edges, theta):
     """(t, L) where theta crosses pi L in the cells of a walk, sorted by t.
 
-    Cells whose levels differ are refined one crossing per level; an edge
-    with theta on a level in a cell that keeps its level is a crossing itself.
+    Cells whose levels differ are refined one crossing per level, all in one
+    _newton_crossings; an edge with theta on a level in a cell that keeps its
+    level is a crossing itself.
     """
     ratio = theta[:-1] / math.pi
     levels_lo = np.floor(ratio)
     levels_hi = np.floor(theta[1:] / math.pi)
     nearest = np.round(ratio)
     on_level = (levels_lo == levels_hi) & (np.abs(ratio - nearest) < 1e-12)
-    crossings = []
-    for i in np.flatnonzero((levels_lo != levels_hi) | on_level):
-        if on_level[i]:
-            crossings.append((edges[i], int(nearest[i])))
-            continue
-        l0, l1 = int(levels_lo[i]), int(levels_hi[i])
-        for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
-            t_star = _refine_crossing(data, edges[i], theta[i], edges[i + 1], level)
-            crossings.append((t_star, level))
+    crossings = [(edges[i], int(nearest[i])) for i in np.flatnonzero(on_level)]
+    bounds = np.sort([levels_lo, levels_hi], axis=0).astype(int)
+    pairs = [(i, level) for i in np.flatnonzero(levels_lo != levels_hi)
+             for level in range(bounds[0, i] + 1, bounds[1, i] + 1)]
+    cells, levels = np.array(pairs, dtype=int).reshape(-1, 2).T
+    t_star = _newton_crossings(data, edges[cells], theta[cells], edges[cells + 1],
+                               theta[cells + 1], levels.astype(float))
+    crossings += zip(t_star.tolist(), levels.tolist())
     # An edge sitting exactly on a level is found twice: once by the edge
     # test and once by refining the adjacent cell.  Merge.
     crossings.sort(key=lambda c: c[0])
@@ -728,6 +744,12 @@ def _level_crossings(data, edges, theta):
             continue
         merged.append((t_star, level))
     return merged
+
+
+def _kappa_err(data, ts):
+    """2 _LNMU_TOL / |dtheta/dkappa| at crossings ts, dtheta/dkappa = theta'(t) cos^2 t."""
+    with np.errstate(divide="ignore"):  # inf where theta is flat: a tangency
+        return 2 * _LNMU_TOL / np.abs(_theta_prime(data, ts) * np.cos(ts) ** 2)
 
 
 def _branch_report(data, lo, hi, anchor):
@@ -758,8 +780,9 @@ def _branch_report(data, lo, hi, anchor):
         for i in at:
             level, (t0, t1) = round(theta[i] / math.pi), edges[np.clip([i - 1, i + 1], 0, len(edges) - 1)]
             crossings = [c for c in crossings if c[1] != level or not t0 <= c[0] <= t1]
-    entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point")
-               for t, level in crossings] + entries
+    errs = _kappa_err(data, np.array([t for t, _ in crossings])).tolist()
+    entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point", err)
+               for (t, level), err in zip(crossings, errs)] + entries
     entries.sort(key=lambda e: e.kappa.real)
     return entries
 

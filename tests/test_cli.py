@@ -28,6 +28,10 @@ def test_check_revolution_passes(tmp_path, capsys):
         e["kappa"] for e in rep["branch_points"] if e["kind"] in ("double_point", "both")
     )
     assert np.allclose(kappas, [-1.0, 1.0], atol=1e-6)
+    # each crossing reports how far theta's error can move it; roots of b report null
+    for e in rep["branch_points"]:
+        assert (e["kappa_err"] is None) == (e["kind"] != "double_point")
+        assert e["kappa_err"] is None or 0.0 < e["kappa_err"] < 1e-8
 
 
 def test_check_from_json_file(tmp_path):

@@ -196,6 +196,42 @@ def test_real_branch_points_tangency_at_root_of_b(window):
     assert report[0].delta == report[2].delta == -2.0
 
 
+def test_kappa_err_covers_the_near_tangency_spread():
+    # the double points next to the near-tangency move by ~1.3e-10 from window
+    # to window (theta is known to ~1e-12 and dtheta/dkappa is ~2.4e-3 there):
+    # each reported kappa_err covers that spread and the closed form
+    q = 0.25 / (1.0 - 1e-7) ** 2
+    k_star = math.sqrt((q - 0.25) / (1.0 - q))
+    doubles = [e for w in _TANGENCY_WINDOWS for e in sp.real_branch_points(_tangency(1e-7), window=w)
+               if e.kind == "double_point" and e.kappa > 0]
+    kappas = [e.kappa for e in doubles]
+    assert len(doubles) == len(_TANGENCY_WINDOWS)
+    for e in doubles:
+        assert max(kappas) - min(kappas) <= e.kappa_err and abs(e.kappa - k_star) <= e.kappa_err
+        assert e.kappa_err < 1e-3 * k_star
+
+
+def test_real_branch_points_match_the_rotational_closed_form(rng):
+    # Delta = 2 cos(2 pi b2 sqrt((k^2 + alpha)/(k^2 + 1))) is +-2 where the
+    # root equals q = L/(2 b2): at k = +-sqrt((alpha - q^2)/(q^2 - 1)) for
+    # each level L with sqrt(alpha) < q < 1
+    for h, alpha in zip(rng.uniform(0.0, 2.0, 20), rng.uniform(0.05, 0.9, 20)):
+        data, b2 = families.revolution_family(families.RevolutionParams(h, alpha))
+        want = []
+        for level in range(math.floor(2 * b2 * math.sqrt(alpha)) + 1, math.ceil(2 * b2)):
+            q = level / (2 * b2)
+            k = math.sqrt((alpha - q * q) / (q * q - 1))
+            want += [-k, k] if k <= 10.0 else []
+        doubles = [e for e in sp.real_branch_points(data, (-10.0, 10.0)) if e.kind == "double_point"]
+        assert len(doubles) == len(want), (h, alpha)
+        for e, k in zip(doubles, sorted(want)):
+            assert abs(e.kappa - k) <= e.kappa_err, (h, alpha, e.kappa, k)
+            # kappa_err = 2 _LNMU_TOL/|dtheta/dkappa|, theta = 2 pi b2 sqrt(...)
+            s = math.sqrt((k * k + alpha) / (k * k + 1))
+            slope = 2 * math.pi * b2 * k * (1 - alpha) / (s * (k * k + 1) ** 2)
+            assert e.kappa_err == pytest.approx(2 * sp._LNMU_TOL / abs(slope), rel=1e-6)
+
+
 def test_crossings_on_a_wide_window_match_the_closed_form():
     # revolution (0.5, 0.25) moved by phi = 0.01: mu = +-1 at the images
     # (c k - s)/(c + s k) of the marked points +-k0, on a window of +-12863.57
@@ -207,21 +243,46 @@ def test_crossings_on_a_wide_window_match_the_closed_form():
     assert np.allclose(doubles, want, rtol=0.0, atol=1e-9)
 
 
+def _refinement_calls(monkeypatch, data, edges, theta):
+    calls = []
+    increments = sp._theta_increments
+    monkeypatch.setattr(sp, "_theta_increments", lambda *args: calls.append(1) or increments(*args))
+    crossings = sp._level_crossings(data, edges, theta)
+    monkeypatch.setattr(sp, "_theta_increments", increments)
+    return len(calls), crossings
+
+
 def test_crossing_at_large_kappa_stops_at_the_resolution_of_t(monkeypatch):
     # moved so that the marked point k0 lands at kappa = 1e3, where
     # neighbouring floats of t are 2.2e-10 apart in kappa, more than 1e-13
-    # relative: the bisection stops on the bracket in t instead
+    # relative: the Newton steps stop at a few ulps of t instead
     data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
     phi = math.atan(data.kappa0) - math.atan(1e3)
     moved = sp.mobius_transform_data(data, phi)
     edges, theta = sp._theta_walk(moved, np.arctan([500.0, 2000.0]))
     theta += sp.lnmu_at(moved, 500.0)[0].imag
-    calls = []
-    increments = sp._theta_increments
-    monkeypatch.setattr(sp, "_theta_increments", lambda *args: calls.append(1) or increments(*args))
-    crossings = sp._level_crossings(moved, edges, theta)
+    calls, crossings = _refinement_calls(monkeypatch, moved, edges, theta)
     assert len(crossings) == 1 and abs(math.tan(crossings[0][0]) / 1e3 - 1.0) < 1e-9
-    assert len(calls) < 60
+    assert calls <= 10
+
+
+@pytest.mark.parametrize("name", ["clifford", "mobius"])
+def test_refinement_calls_are_per_iteration_not_per_crossing(monkeypatch, name):
+    # all crossings of a walk share one _theta_increments call per Newton
+    # iteration: the walk over the circle makes as many calls as its slowest
+    # crossing does alone, in a walk of its one cell
+    rot, _ = families.revolution_family(families.RevolutionParams(0.7, 0.4))
+    data = {"clifford": families.clifford_spectral_data(),
+            "mobius": sp.mobius_transform_data(rot, 0.15)}[name]
+    t_roots = [math.atan(r.value.real) for r in data.b_roots if r.is_real]
+    edges, theta = sp._theta_walk(data, np.unique([-0.5 * math.pi, 0.0, 0.5 * math.pi] + t_roots))
+    theta += sp.lnmu_at(data, 0.0)[0].imag - theta[np.searchsorted(edges, 0.0)]
+    n_all, crossings = _refinement_calls(monkeypatch, data, edges, theta)
+    cells = np.flatnonzero(np.floor(theta[:-1] / math.pi) != np.floor(theta[1:] / math.pi))
+    alone = [_refinement_calls(monkeypatch, data, edges[i:i + 2], theta[i:i + 2]) for i in cells]
+    assert len(crossings) >= 2 and len(alone) == len(crossings)
+    assert [c for _, found in alone for c in found] == crossings
+    assert n_all == max(n for n, _ in alone) <= 10
 
 
 def test_g_invariant_counts_nonreal_roots_of_b():
@@ -739,6 +800,22 @@ def test_monitor_periods_skip_the_polyline_quadrature(monkeypatch):
 # The crossing search of real_branch_points against the grid loop it replaced.
 
 
+def _refine_crossing(data, t_lo, th_lo, t_hi, level):
+    """Bisect theta - pi*level in t to a root in the cell [t_lo, t_hi], until
+    the bracket is below 1e-13 relative in kappa or a few ulps of t."""
+    for _ in range(80):
+        if (math.tan(t_hi) - math.tan(t_lo) < 1e-13 * max(1.0, abs(math.tan(t_lo)))
+                or t_hi - t_lo <= 4 * math.ulp(abs(t_lo) + abs(t_hi))):
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        th_mid = th_lo + float(sp._theta_increments(data, t_lo, mid))
+        if (th_lo - math.pi * level) * (th_mid - math.pi * level) <= 0:
+            t_hi = mid
+        else:
+            t_lo, th_lo = mid, th_mid
+    return 0.5 * (t_lo + t_hi)
+
+
 def _loop_level_crossings(data, grid, theta):
     levels_lo = np.floor(theta[:-1] / math.pi)
     levels_hi = np.floor(theta[1:] / math.pi)
@@ -751,7 +828,7 @@ def _loop_level_crossings(data, grid, theta):
                 crossings.append((grid[i], int(round(theta[i] / math.pi))))
             continue
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
-            k_star = sp._refine_crossing(data, grid[i], theta[i], grid[i + 1], level)
+            k_star = _refine_crossing(data, grid[i], theta[i], grid[i + 1], level)
             crossings.append((k_star, level))
     crossings.sort(key=lambda c: c[0])
     merged = []
@@ -777,6 +854,16 @@ def _crossing_cases():
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
+def _assert_same_crossings(data, got, want, tangency=False):
+    # levels, count and order exactly; kappa to the bisection's own stopping
+    # bracket, or next to a tangency to the kappa_err the report gives
+    assert [level for _, level in got] == [level for _, level in want]
+    for (t, _), (t_want, _) in zip(got, want):
+        kappa, kappa_want = math.tan(t), math.tan(t_want)
+        bound = sp._kappa_err(data, t) if tangency else 1e-13 * max(1.0, abs(kappa_want))
+        assert abs(kappa - kappa_want) <= bound, (kappa, kappa_want)
+
+
 @pytest.mark.parametrize("name,data,window", _crossing_cases())
 def test_level_crossings_match_grid_loop(name, data, window):
     # the cells of the walk of real_branch_points: the roots of b are edges
@@ -784,7 +871,8 @@ def test_level_crossings_match_grid_loop(name, data, window):
     grid, theta = sp._theta_walk(data, np.unique(np.arctan(list(window) + roots)))
     theta = theta + sp.lnmu_at(data, window[0])[0].imag
     got = sp._level_crossings(data, grid, theta)
-    assert got == _loop_level_crossings(data, grid, theta)
+    _assert_same_crossings(data, got, _loop_level_crossings(data, grid, theta),
+                           tangency=name.startswith("tangency"))
     assert got or name.startswith("tangency")
 
 
@@ -795,7 +883,7 @@ def test_level_crossings_on_grid_points():
     grid = np.linspace(-2.0, 2.0, 9)
     theta = math.pi * np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.7, -1.0, -1.0, -0.2])
     got = sp._level_crossings(data, grid, theta)
-    assert got == _loop_level_crossings(data, grid, theta)
+    _assert_same_crossings(data, got, _loop_level_crossings(data, grid, theta))
     assert got[:2] == [(grid[0], 0), (grid[1], 0)]
 
 
