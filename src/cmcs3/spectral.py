@@ -167,42 +167,23 @@ def plane_key(z):
     return round(z.real, 12), round(z.imag, 12)
 
 
-def _track(root, x_from, r_from, x_to, depth=0):
-    """Continue the square root root(x) from (x_from, r_from) to x_to along the
-    straight segment, bisecting until consecutive values stay on one sheet."""
-    val = root(x_to)
-    pick = val if abs(val - r_from) <= abs(val + r_from) else -val
-    scale = max(abs(pick), abs(r_from))
-    if abs(pick - r_from) <= 0.4 * scale + 1e-300:
-        return pick
-    if depth >= 48:
-        raise ConvergenceError("sheet tracking lost (path too close to a branch point)")
-    mid = 0.5 * (x_from + x_to)
-    r_mid = _track(root, x_from, r_from, mid, depth + 1)
-    return _track(root, mid, r_mid, x_to, depth + 1)
+def _track_chain(vals, r_from):
+    """The root along a chain of points, continued from r_from, given vals on
+    either sheet; returns (picks, broken).
 
-
-def _track_chain(root, xs, vals, x_from, r_from):
-    """The root along the points xs, continued from (x_from, r_from), given
-    vals = root(xs) on either sheet.
-
-    Each value takes the sign nearer its predecessor, as in _track: negation
-    is exact, so flipping against the raw predecessor and multiplying the
-    flips up makes the same choices.  From the first point where consecutive
-    picks are not close, _track bisects instead.
+    Each value takes the sign nearer its predecessor: negation is exact, so
+    flipping against the raw predecessor and multiplying the flips up makes
+    the same choices.  broken is the worst relative jump between neighbouring
+    picks where one exceeds 0.4, else 0: points that far apart are too sparse
+    for the nearer sign to be the continued one, and callers refine.
     """
     prev = np.concatenate(([r_from], vals[:-1]))
     flips = np.where(np.abs(vals - prev) <= np.abs(vals + prev), 1.0, -1.0)
     picks = np.where(np.cumprod(flips) > 0, vals, -vals)
     refs = np.concatenate(([r_from], picks[:-1]))
-    close = np.abs(picks - refs) <= 0.4 * np.maximum(np.abs(picks), np.abs(refs)) + 1e-300
-    if not close.all():
-        first = int(np.argmin(close))
-        ref_x, ref_r = (xs[first - 1], picks[first - 1]) if first else (x_from, r_from)
-        for i in range(first, len(xs)):
-            ref_r = picks[i] = _track(root, ref_x, ref_r, xs[i])
-            ref_x = xs[i]
-    return picks
+    scale = np.maximum(np.maximum(np.abs(picks), np.abs(refs)), 1e-300)
+    jump = float(np.max(np.abs(picks - refs) / scale))
+    return picks, 0.0 if jump <= 0.4 else jump
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +198,8 @@ def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
 
     root takes arrays.  One step evaluates it once, at the nodes of the whole
     panel and b, then of the left half, mid, the right half and b, and tracks
-    the sheet from (a, r_a) along both chains (see _track_chain).
+    the sheet from (a, r_a) along both chains (see _track_chain).  A step
+    whose chains break splits without a sum, as one whose sums disagree.
     """
     mid = 0.5 * (a + b)
     xs = np.concatenate((
@@ -225,20 +207,24 @@ def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
         a + (mid - a) * _GL_UNIT, [mid], mid + (b - mid) * _GL_UNIT, [b],
     ))
     vals = root(xs)
-    whole_r = _track_chain(root, xs[:17], vals[:17], a, r_a)
-    halves_r = _track_chain(root, xs[17:], vals[17:], a, r_a)
-    r_m, r_b = halves_r[16], halves_r[33]
-    f = integrand(xs[_STEP_NODES], np.concatenate((whole_r[:16], halves_r[:16], halves_r[17:33])))
-    whole = 0.5 * (b - a) * np.sum(_GL_WEIGHTS * f[:16])
-    left = 0.5 * (mid - a) * np.sum(_GL_WEIGHTS * f[16:32])
-    right = 0.5 * (b - mid) * np.sum(_GL_WEIGHTS * f[32:])
-    err = abs(left + right - whole)
-    if err < max(tol, 1e-15 * (abs(left) + abs(right))):
-        return left + right, r_b
+    whole_r, whole_broken = _track_chain(vals[:17], r_a)
+    halves_r, halves_broken = _track_chain(vals[17:], r_a)
+    broken = max(whole_broken, halves_broken)
+    if not broken:
+        rs = np.concatenate((whole_r[:16], halves_r[:16], halves_r[17:33]))
+        f = integrand(xs[_STEP_NODES], rs)
+        whole = 0.5 * (b - a) * np.sum(_GL_WEIGHTS * f[:16])
+        left = 0.5 * (mid - a) * np.sum(_GL_WEIGHTS * f[16:32])
+        right = 0.5 * (b - mid) * np.sum(_GL_WEIGHTS * f[32:])
+        err = abs(left + right - whole)
+        if err < max(tol, 1e-15 * (abs(left) + abs(right))):
+            return left + right, halves_r[33]
     if depth >= _DEPTH_CAP:
-        raise ConvergenceError(
-            f"quadrature stalled with error estimate {err:.3e}", residual=float(err)
-        )
+        if broken:
+            raise ConvergenceError("sheet tracking lost (path too close to a branch point)",
+                                   residual=broken)
+        raise ConvergenceError(f"quadrature stalled with error estimate {err:.3e}",
+                               residual=float(err))
     lv, r_m = _adaptive(root, integrand, a, mid, r_a, 0.5 * tol, depth + 1)
     rv, r_b = _adaptive(root, integrand, mid, b, r_m, 0.5 * tol, depth + 1)
     return lv + rv, r_b
@@ -463,8 +449,8 @@ def _dist_to_2pii(z):
     return abs(z - _TWO_PI_I * k)
 
 
-# kappa(t) = center + u (major cos t + i minor sin t), 0 <= t <= 2 pi turns: an ellipse or circle
-Loop = namedtuple("Loop", "center major minor u turns", defaults=(1.0, 1))
+# kappa(t) = center + u (major cos t + i minor sin t), 0 <= t <= 2 pi: an ellipse or circle
+Loop = namedtuple("Loop", "center major minor u", defaults=(1.0,))
 _TRAPEZOID_START = 32  # points of the first trapezoidal sum around a loop
 _TRAPEZOID_CAP = 1 << 15  # most points around a loop before ConvergenceError
 
@@ -475,28 +461,30 @@ def _loop_integral(data, loop, tol):
     The integrand is analytic and periodic in t, so the N-point trapezoidal
     rule converges geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014).
     N doubles until two sums agree.  Each doubling evaluates nu at the new
-    points only (t_j = j period/N keeps the old ones) and tracks its sheet
-    along the whole chain from kappa(0).
+    points only (t_j = 2 pi j/N keeps the old ones) and tracks its sheet
+    along the whole chain from kappa(0); while the chain breaks, N doubles
+    without a sum.
     """
-    period = 2.0 * math.pi * loop.turns
-    n, vals, total = _TRAPEZOID_START, None, math.inf
+    n, vals, total, diff = _TRAPEZOID_START, None, math.inf, math.inf
     while True:
-        e = np.exp(1j * np.arange(n + 1) * (period / n))
+        e = np.exp(1j * np.arange(n + 1) * (2.0 * math.pi / n))
         ks = loop.center + loop.u * (loop.major * e.real + 1j * loop.minor * e.imag)
         _guard_path(data, ks)
         vals = data.nu(ks) if vals is None else np.insert(
             vals, np.arange(1, n // 2 + 1), data.nu(ks[1::2]))
-        nus = _track_chain(data.nu, ks, vals, ks[0], vals[0])
-        if abs(nus[-1] - nus[0]) > 1e-5 * max(abs(nus[0]), 1.0):
-            raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
-        velocity = loop.u * (1j * loop.minor * e.real - loop.major * e.imag)
-        prev, total = total, period / n * np.sum((data.dlnmu(ks, nus) * velocity)[:-1])
-        diff = abs(total - prev)
-        if diff < max(tol, 1e-15 * abs(total)):
-            return total
+        nus, broken = _track_chain(vals, vals[0])
+        if not broken:
+            if abs(nus[-1] - nus[0]) > 1e-5 * max(abs(nus[0]), 1.0):
+                raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
+            velocity = loop.u * (1j * loop.minor * e.real - loop.major * e.imag)
+            prev, total = total, 2.0 * math.pi / n * np.sum((data.dlnmu(ks, nus) * velocity)[:-1])
+            diff = abs(total - prev)
+            if diff < max(tol, 1e-15 * abs(total)):
+                return total
         if 2 * n > _TRAPEZOID_CAP:
+            what, residual = ("difference", diff) if math.isfinite(diff) else ("sheet jump", broken)
             raise ConvergenceError(f"trapezoidal rule around a period loop stalled at N = {n} "
-                                   f"with difference {diff:.3e}", residual=float(diff))
+                                   f"with {what} {residual:.3e}", residual=float(residual))
         n *= 2
 
 
@@ -504,8 +492,7 @@ def homology_cycles(data):
     """Ellipses around consecutive pairs of odd roots of a.
 
     The branch points +-i of the kappa^2+1 factor are excluded from the
-    pairing; their residue behaviour is checked separately by the double
-    loops of period_loops.
+    pairing (see period_loops).
     """
     pts = sorted((r.value for r in data.a_roots if r.multiplicity % 2 == 1), key=plane_key)
     if len(pts) % 2 != 0:
@@ -529,14 +516,14 @@ def homology_cycles(data):
 
 
 def period_loops(data):
-    """The loops of condition B: homology_cycles, circles around even roots
-    of a (node residues), and double loops around +-i (the second-order poles
-    of d ln mu must be residue-free)."""
+    """The loops of condition B: homology_cycles and circles around the even
+    roots of a (node residues).  +-i need none: with kappa = +-i + w^2,
+    d ln mu = G(w^2) dw/w^2 has no 1/w term when a(+-i) != 0."""
     loops = homology_cycles(data)
-    centers = [(r.value, 1) for r in data.a_roots if r.multiplicity % 2 == 0]
-    for center, turns in centers + [(1j, 2), (-1j, 2)]:
-        r = _detour_radius(data.obstacles, center)
-        loops.append(Loop(center, r, r, 1.0, turns))
+    for root in data.a_roots:
+        if root.multiplicity % 2 == 0:
+            r = _detour_radius(data.obstacles, root.value)
+            loops.append(Loop(root.value, r, r))
     return loops
 
 

@@ -435,8 +435,6 @@ _G2_LNMU = [
 _G2_PERIODS = [
     -8.815529943956324 - 3.3306690738754696e-16j,
     8.418576875891164 + 3.885780586188048e-16j,
-    -8.881784197001252e-16 - 4.996003610813204e-16j,
-    -2.220446049250313e-16 - 5.551115123125783e-16j,
 ]
 
 
@@ -509,6 +507,21 @@ def test_curve_roots_found_once(revolution_quarter, monkeypatch):
 # Batched sheet tracking against the node-by-node tracker it replaced.
 
 
+def _track(root, x_from, r_from, x_to, depth=0):
+    """Continue the square root root(x) from (x_from, r_from) to x_to along the
+    straight segment, bisecting until consecutive values stay on one sheet."""
+    val = root(x_to)
+    pick = val if abs(val - r_from) <= abs(val + r_from) else -val
+    scale = max(abs(pick), abs(r_from))
+    if abs(pick - r_from) <= 0.4 * scale + 1e-300:
+        return pick
+    if depth >= 48:
+        raise ConvergenceError("sheet tracking lost (path too close to a branch point)")
+    mid = 0.5 * (x_from + x_to)
+    r_mid = _track(root, x_from, r_from, mid, depth + 1)
+    return _track(root, mid, r_mid, x_to, depth + 1)
+
+
 def _node_panel(root, integrand, a, b, r_a):
     """GL16 on [a, b] with the root tracked node to node; returns (value, root at b)."""
     d = b - a
@@ -516,10 +529,10 @@ def _node_panel(root, integrand, a, b, r_a):
     rs = np.empty(xs.shape, dtype=complex)
     ref_x, ref_r = a, r_a
     for i, x in enumerate(xs):
-        ref_r = sp._track(root, ref_x, ref_r, x)
+        ref_r = _track(root, ref_x, ref_r, x)
         ref_x = x
         rs[i] = ref_r
-    r_b = sp._track(root, ref_x, ref_r, b)
+    r_b = _track(root, ref_x, ref_r, b)
     return 0.5 * d * np.sum(sp._GL_WEIGHTS * integrand(xs, rs)), r_b
 
 
@@ -550,10 +563,10 @@ def _node_integrate_dlnmu(data, path, tol=1e-10):
     return total, nu_cur
 
 
-def _polyline(loop, chords_per_turn):
+def _polyline(loop, chords_per_turn, turns=1):
     """A loop as the closed polyline the periods were once integrated along:
     32 chords for the ellipses of homology_cycles, a 24-gon per turn for circles."""
-    ts = np.linspace(0.0, 2.0 * math.pi * loop.turns, chords_per_turn * loop.turns + 1)
+    ts = np.linspace(0.0, 2.0 * math.pi * turns, chords_per_turn * turns + 1)
     c, a, b, u = loop.center, loop.major, loop.minor, loop.u
     return [c + a * math.cos(t) * u + b * math.sin(t) * (1j * u) for t in ts]
 
@@ -564,7 +577,7 @@ def _rotational_paths():
         sp.safe_path(data, 0.3 + 0.1j, 2.0 - 0.7j),
         sp.safe_path(data, -2.5 + 0.2j, 2.5 + 0.3j),
         _polyline(sp.homology_cycles(data)[0], 32),
-        _polyline(sp.Loop(1j, 0.15, 0.15, turns=2), 24),
+        _polyline(sp.Loop(1j, 0.15, 0.15), 24, turns=2),
     ]
 
 
@@ -587,36 +600,26 @@ def test_integrate_dlnmu_matches_node_by_node_tracking(case):
         assert abs(got_nu - want_nu) <= 1e-13 * max(abs(want_nu), 1.0)
 
 
-def test_grazing_segment_falls_back_to_bisection(monkeypatch):
+def test_grazing_segment_is_resolved_by_splitting_cells(monkeypatch):
     # the segment passes 0.01 from the branch point i/2: neighbouring nodes
-    # there lie on visibly different sheets, so _track bisects
+    # there lie on visibly different sheets, so the chain of a step breaks
+    # and its cell splits until the chains hold
     data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
     path = [-1.0 + 0.49j, 1.0 + 0.49j]
     want_val, want_nu = _node_integrate_dlnmu(data, path)
-    calls = []
-    track = sp._track
+    broken = []
+    track_chain = sp._track_chain
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return track(*args, **kwargs)
+    def recording(*args):
+        picks, jump = track_chain(*args)
+        broken.append(jump > 0)
+        return picks, jump
 
-    monkeypatch.setattr(sp, "_track", counting)
+    monkeypatch.setattr(sp, "_track_chain", recording)
     got_val, got_nu = sp.integrate_dlnmu(data, path)
-    assert calls
+    assert any(broken) and not broken[-1]
     assert abs(got_val - want_val) <= 1e-13 * max(abs(want_val), 1.0)
     assert abs(got_nu - want_nu) <= 1e-13 * max(abs(want_nu), 1.0)
-
-
-def test_rotational_monitor_and_scan_need_no_bisection(monkeypatch):
-    # timing-free guard of the batched path: on these queries every adaptive
-    # step tracks its sheet from one array evaluation of nu
-    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
-    calls = []
-    monkeypatch.setattr(sp, "_track", lambda *args, **kwargs: calls.append(args))
-    flow._monitors(data)
-    for kappa in np.linspace(-3.0, 3.0, 41):
-        sp.delta(data, kappa)
-    assert not calls
 
 
 def test_genus2_lnmu_matches_mpmath():
@@ -707,12 +710,16 @@ def _thin_ellipse():
     return sp.mobius_transform_data(data, 0.2)
 
 
-@pytest.mark.parametrize("case", [
+_PERIOD_CURVES = [
     lambda: families.revolution_family(families.RevolutionParams(0.5, 0.25))[0],
     _thin_ellipse,
     _genus2,
     _nodal_genus3,
-], ids=["rotational", "thin-ellipse", "genus2", "node-circle"])
+]
+
+
+@pytest.mark.parametrize("case", _PERIOD_CURVES,
+                         ids=["rotational", "thin-ellipse", "genus2", "node-circle"])
 def test_periods_match_polyline_quadrature(case):
     data = case()
     got, want = sp.period_integrals(data), _polyline_periods(data)
@@ -721,11 +728,36 @@ def test_periods_match_polyline_quadrature(case):
         assert abs(g - w) <= 1e-13 * max(abs(w), 1.0)
 
 
+def _random_curve(rng, g):
+    """a with g conjugate pairs of roots in 0.2 <= |Im| <= 2, none within 0.1
+    of +-i, and a random b of degree g + 1."""
+    a = np.array([1.0])
+    while len(a) < 2 * g + 1:
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
+        if abs(z - 1j) > 0.1:
+            a = np.polynomial.polynomial.polymul(a, [abs(z) ** 2, -2.0 * z.real, 1.0])
+    return sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(rng.uniform(-1.0, 1.0, g + 2)),
+                           1.7, -0.6)
+
+
+def test_double_loops_around_pm_i_integrate_to_zero(rng):
+    # with kappa = +-i + w^2, d ln mu = G(w^2) dw/w^2 has no 1/w term, which
+    # is why period_loops has no loop around +-i: the double loop it once
+    # integrated, as a 2-turn 24-gon through integrate_dlnmu, gives 0
+    curves = [_random_curve(rng, g) for g in (1, 2, 3) for _ in range(4)]
+    curves += [case() for case in _PERIOD_CURVES]
+    for data in curves:
+        for center in (1j, -1j):
+            r = sp._detour_radius(data.obstacles, center)
+            path = _polyline(sp.Loop(center, r, r), 24, turns=2)
+            val, _ = sp.integrate_dlnmu(data, path, nu_start=cmath.sqrt(complex(data.p(path[0]))))
+            assert abs(val) <= 1e-12
+
+
 def test_node_circle_is_integrated():
+    # the homology ellipse and one circle around each node; none around +-i
     loops = sp.period_loops(_nodal_genus3())
-    assert [(lp.turns, lp.major == lp.minor) for lp in loops] == [
-        (1, False), (1, True), (1, True), (2, True), (2, True)
-    ]
+    assert [lp.major == lp.minor for lp in loops] == [False, True, True]
 
 
 def test_period_loop_past_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
@@ -740,6 +772,40 @@ def test_period_loop_past_cap_raises_convergence_error(monkeypatch, tmp_path, ca
     assert cli.main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure: trapezoidal rule" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("a,message", [
+    ([0.25, 0.0, 1.25, 0.0, 1.0], "sheet mismatch"),  # (k^2 + 1)(k^2 + 1/4)
+    ([1.0, 0.0, 2.0, 0.0, 1.0], "not divisible by sqrt(a)"),  # (k^2 + 1)^2
+], ids=["simple", "double"])
+def test_a_vanishing_at_pm_i_exits_numerical(tmp_path, capsys, a, message):
+    # +-i are roots of a here, so they need loops of their own: a simple
+    # root is paired into a homology cycle that does not close, a double
+    # root makes a a square whose closed form of ln mu rejects b
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"a": a, "b": [0.0, 0.5], "kappa0": 1.2, "kappa1": -0.8}))
+    assert cli.main(["check", str(path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_base_leg_past_depth_cap_loses_the_sheet(tmp_path, capsys):
+    # a = (k^2 + 1.0001)(k^2 + 1): the base -i is a double root of
+    # (k^2 + 1) a, so nu/s on the base leg vanishes at s = 0 with its seed
+    # sqrt(p'(base) d), and the chain of the first cell breaks at every depth.
+    # (With 1.0000001 for 1.0001, find_roots merges the pairs and takes a for
+    # a square, which exits on "not divisible by sqrt(a)" instead.)
+    a = np.polynomial.polynomial.polymul([1.0001, 0.0, 1.0], [1.0, 0.0, 1.0])
+    data = sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
+                           1.2, -0.8)
+    with pytest.raises(ConvergenceError, match="sheet tracking lost") as exc:
+        sp.lnmu_at(data, 1.2)
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0.4
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data.to_json()))
+    assert cli.main(["check", str(path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: sheet tracking lost" in err and "Traceback" not in err
 
 
 def test_loop_around_one_branch_point_does_not_close():
