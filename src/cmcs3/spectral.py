@@ -123,6 +123,16 @@ class SpectralData:
         return tuple(r.value for r in self.branch_points)
 
     @cached_property
+    def base_leg(self):
+        """(base, its local gap, q = p/(kappa - base) by exact division) of
+        lnmu_at, or None: the base is the odd root of a of smallest |kappa|."""
+        odd = [r.value for r in self.a_roots if r.multiplicity % 2 == 1]
+        if not odd:
+            return None
+        base = min(odd, key=lambda z: (abs(z),) + plane_key(z))
+        return base, _local_gap(self.obstacles, base), npoly.polydiv(self.p_coeffs, [-base, 1.0])[0]
+
+    @cached_property
     def closed_form(self):
         """(r, q) of the closed form of ln mu (see _closed_form), or None."""
         return _closed_form(self)
@@ -168,87 +178,109 @@ def plane_key(z):
 
 
 def _track_chain(vals, r_from):
-    """The root along a chain of points, continued from r_from, given vals on
-    either sheet; returns (picks, broken).
+    """The root along chains of points (the last axis of vals), each continued
+    from its r_from, given vals on either sheet; returns (picks, broken).
 
     Each value takes the sign nearer its predecessor: negation is exact, so
     flipping against the raw predecessor and multiplying the flips up makes
-    the same choices.  broken is the worst relative jump between neighbouring
-    picks where one exceeds 0.4, else 0: points that far apart are too sparse
-    for the nearer sign to be the continued one, and callers refine.
+    the same choices.  broken is, per chain, the worst relative jump between
+    neighbouring picks where one exceeds 0.4, else 0: points that far apart
+    are too sparse for the nearer sign to be the continued one.
     """
-    prev = np.concatenate(([r_from], vals[:-1]))
-    flips = np.where(np.abs(vals - prev) <= np.abs(vals + prev), 1.0, -1.0)
-    picks = np.where(np.cumprod(flips) > 0, vals, -vals)
-    refs = np.concatenate(([r_from], picks[:-1]))
-    scale = np.maximum(np.maximum(np.abs(picks), np.abs(refs)), 1e-300)
-    jump = float(np.max(np.abs(picks - refs) / scale))
-    return picks, 0.0 if jump <= 0.4 else jump
+    prev = np.concatenate((np.asarray(r_from)[..., None], vals[..., :-1]), axis=-1)
+    near, far = np.abs(vals - prev), np.abs(vals + prev)
+    picks = np.where(np.where(near <= far, 1.0, -1.0).cumprod(axis=-1) > 0, vals, -vals)
+    scale = np.maximum(np.maximum(np.abs(vals), np.abs(prev)), 1e-300)
+    jump = (np.minimum(near, far) / scale).max(axis=-1)
+    return picks, np.where(jump > 0.4, jump, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Quadrature of d ln mu with sheet tracking.
-
-_GL_UNIT = 0.5 * (_GL_NODES + 1.0)  # the GL16 nodes on [0, 1]
-_STEP_NODES = np.r_[0:16, 17:33, 34:50]  # the 48 nodes among the 51 points of one step
+# Adaptive GL16 quadrature: d ln mu with sheet tracking, and theta.
 
 
-def _adaptive(root, integrand, a, b, r_a, tol, depth=0):
-    """Adaptive bisection of GL16 panels on [a, b]; returns (value, root at b).
+def _adaptive(integrand, lo, hi, tol, root=None, r_from=None, label="quadrature"):
+    """Breadth-first adaptive GL16 over the cells [lo, hi] (float arrays, in
+    order) of a real parameter; returns (edges, gains, root at hi[-1] or
+    None): the left edges and integrals of the halves of the accepted cells.
 
-    root takes arrays.  One step evaluates it once, at the nodes of the whole
-    panel and b, then of the left half, mid, the right half and b, and tracks
-    the sheet from (a, r_a) along both chains (see _track_chain).  A step
-    whose chains break splits without a sum, as one whose sums disagree.
+    GL16 on each cell is tested against the sum over its halves, to tol/len(lo)
+    per starting cell, halved per level, or 1e-15 relative; all failing cells
+    split at once, up to _DEPTH_CAP levels and 2 _DEPTH_CAP active cells per
+    starting cell.  With root (taking arrays), integrand(x, r) gets r on one
+    sheet: a cell tracks it (see _track_chain) from hi back over the nodes of
+    the whole cell to lo, then over those of its halves to hi, and fails if
+    the chain breaks.  The accepted cells are joined in order from r_from
+    (default root(lo[0])) by the nearer sign, which flips their gains:
+    integrand must be odd in r, as d ln mu is.
     """
-    mid = 0.5 * (a + b)
-    xs = np.concatenate((
-        a + (b - a) * _GL_UNIT, [b],
-        a + (mid - a) * _GL_UNIT, [mid], mid + (b - mid) * _GL_UNIT, [b],
-    ))
-    vals = root(xs)
-    whole_r, whole_broken = _track_chain(vals[:17], r_a)
-    halves_r, halves_broken = _track_chain(vals[17:], r_a)
-    broken = max(whole_broken, halves_broken)
-    if not broken:
-        rs = np.concatenate((whole_r[:16], halves_r[:16], halves_r[17:33]))
-        f = integrand(xs[_STEP_NODES], rs)
-        whole = 0.5 * (b - a) * np.sum(_GL_WEIGHTS * f[:16])
-        left = 0.5 * (mid - a) * np.sum(_GL_WEIGHTS * f[16:32])
-        right = 0.5 * (b - mid) * np.sum(_GL_WEIGHTS * f[32:])
-        err = abs(left + right - whole)
-        if err < max(tol, 1e-15 * (abs(left) + abs(right))):
-            return left + right, halves_r[33]
-    if depth >= _DEPTH_CAP:
-        if broken:
-            raise ConvergenceError("sheet tracking lost (path too close to a branch point)",
-                                   residual=broken)
-        raise ConvergenceError(f"quadrature stalled with error estimate {err:.3e}",
-                               residual=float(err))
-    lv, r_m = _adaptive(root, integrand, a, mid, r_a, 0.5 * tol, depth + 1)
-    rv, r_b = _adaptive(root, integrand, mid, b, r_m, 0.5 * tol, depth + 1)
-    return lv + rv, r_b
+    cap, tol = 2 * _DEPTH_CAP * len(lo), tol / max(len(lo), 1)
+    parts = []
+    for depth in range(_DEPTH_CAP + 1):
+        mid = 0.5 * (lo + hi)
+        a, b = np.array((lo, lo, mid)), np.array((hi, mid, hi))
+        half = 0.5 * (b - a)
+        xs = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES  # whole, left, right
+        broken, rs, keep = np.zeros_like(lo), None, [lo, mid]
+        if root is not None:
+            vals = root(np.concatenate((hi[:, None], xs[0, :, ::-1], lo[:, None], xs[1],
+                                        mid[:, None], xs[2], hi[:, None]), axis=1))
+            picks, broken = _track_chain(vals, vals[:, 0])
+            r_from = vals[0, 17] if r_from is None else r_from
+            rs = np.array((picks[:, 16:0:-1], picks[:, 18:34], picks[:, 35:51]))
+            keep += [picks[:, 17], picks[:, 51]]
+        whole, left, right = half * (_GL_WEIGHTS * integrand(xs, rs)).sum(axis=-1)
+        err = np.abs(left + right - whole)
+        ok = (err < np.maximum(tol, 1e-15 * (np.abs(left) + np.abs(right)))) & (broken == 0)
+        keep += [left, right]
+        if ok.all():
+            parts.append(keep)
+            break
+        parts.append([x[ok] for x in keep])
+        fail = ~ok
+        if depth == _DEPTH_CAP or 2 * np.count_nonzero(fail) > cap or not np.isfinite(err[fail]).all():
+            if broken[fail].any():
+                raise ConvergenceError("sheet tracking lost (path too close to a branch point)",
+                                       residual=float(np.max(broken[fail])))
+            worst = float(np.max(err[fail]))
+            raise ConvergenceError(f"{label} stalled with error estimate {worst:.3e}", residual=worst)
+        lo, hi = np.concatenate((lo[fail], mid[fail])), np.concatenate((mid[fail], hi[fail]))
+        tol *= 0.5
+    if len(parts) > 1:
+        keep = [np.concatenate(x) for x in zip(*parts)]
+        order = np.argsort(keep[0])
+        keep = [x[order] for x in keep]
+    lo, mid, *ends, left, right = keep
+    gains, r_end = np.array((left, right)), None
+    if root is not None:
+        first, last = ends
+        prev = np.concatenate(([r_from], last[:-1]))
+        flips = np.where(np.abs(first - prev) <= np.abs(first + prev), 1.0, -1.0).cumprod()
+        gains, r_end = gains * flips, flips[-1] * last[-1]
+    return np.array((lo, mid)).T.ravel(), gains.T.ravel(), r_end
 
 
 def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
     """Integrate d ln mu along a polyline on the curve.
 
     Returns (integral, nu at the end of the path).  The starting sheet is the
-    principal square root at path[0] unless nu_start pins it down.
+    principal square root at path[0] unless nu_start pins it down.  Segment k
+    is the cell [k, k+1] of _adaptive.
     """
     path = [complex(p) for p in path]
     if len(path) < 2:
         raise PreconditionError("path needs at least two points")
     _guard_path(data, path)
-    if nu_start is None:
-        nu_start = data.nu(path[0])
-    total = 0.0 + 0.0j
-    nu_cur = complex(nu_start)
-    seg_tol = tol / max(len(path) - 1, 1)
-    for p, q in zip(path, path[1:]):
-        val, nu_cur = _adaptive(data.nu, data.dlnmu, p, q, nu_cur, seg_tol)
-        total += val
-    return total, nu_cur
+    ks, path = np.arange(len(path), dtype=float), np.array(path)
+    steps = np.diff(path)
+
+    def dlnmu(u, nus):
+        velocity = steps[np.minimum(u.astype(int), len(steps) - 1)]
+        return data.dlnmu(np.interp(u, ks, path), nus) * velocity
+
+    _, gains, nu_end = _adaptive(dlnmu, ks[:-1], ks[1:], tol,
+                                 root=lambda u: data.nu(np.interp(u, ks, path)), r_from=nu_start)
+    return complex(gains.sum()), nu_end
 
 
 def _local_gap(obstacles, o):
@@ -372,35 +404,29 @@ def _closed_form(data):
     return la.RealPolynomial(sol).trimmed(1e-12), q
 
 
-def _base_point(data):
-    """Branch point of smallest |kappa| among odd roots of a (the base of ln mu)."""
-    odd = [r.value for r in data.a_roots if r.multiplicity % 2 == 1]
-    if not odd:
-        return None
-    return sorted(odd, key=lambda z: (abs(z),) + plane_key(z))[0]
-
-
-def _integrate_base_leg(data, base, waypoint, tol):
+def _integrate_base_leg(data, waypoint, tol):
     """ln mu increment from the base branch point to a nearby waypoint.
 
     Uses kappa = base + s^2 d, d = waypoint - base, which removes the
-    square-root singularity: phi(s) = nu(kappa)/s is analytic through s = 0,
-    and d ln mu = 2 pi i b 2d ds/((kappa^2+1) phi).  The sheet is seeded with
-    the principal root phi(0) = sqrt(p'(base) d); the overall sign of ln mu is
+    square-root singularity: phi(s) = nu(kappa)/s = sqrt(d q(kappa)), with
+    q = p/(kappa - base) by exact division, is analytic through s = 0, and
+    d ln mu = 2 pi i b 2d ds/((kappa^2+1) phi).  The sheet is seeded with the
+    principal root phi(0) = sqrt(d q(base)); the overall sign of ln mu is
     fixed downstream (the base value is 0 on both sheets).  Returns the
     increment and phi(1) = nu(waypoint).
     """
+    base, _, q = data.base_leg
     d = waypoint - base
 
     def phi(s):
-        return np.sqrt(data.p(base + s * s * d)) / s
+        return np.sqrt(d * npoly.polyval(base + s * s * d, q))
 
     def dlnmu(ss, phis):
         ks = base + ss * ss * d
         return 2.0 * _TWO_PI_I * d * data.b(ks) / ((ks * ks + 1.0) * phis)
 
-    phi0 = cmath.sqrt(npoly.polyval(base, npoly.polyder(data.p_coeffs)) * d)
-    return _adaptive(phi, dlnmu, 0.0, 1.0, phi0, tol)
+    _, gains, phi1 = _adaptive(dlnmu, np.zeros(1), np.ones(1), tol, root=phi)
+    return complex(gains.sum()), phi1
 
 
 def lnmu_at(data, kappa):
@@ -420,16 +446,15 @@ def lnmu_at(data, kappa):
         val = _TWO_PI_I * complex(r(kappa)) / w
         nu_val = complex(q(kappa)) * w
     else:
-        base = _base_point(data)
-        if base is None:
+        if data.base_leg is None:
             raise InconsistencyError("ln mu has neither a closed form nor an odd branch point")
-        gap = _local_gap(data.obstacles, base)
+        base, gap, _ = data.base_leg
         direction = kappa - base
         if abs(direction) < 1e-12:
             raise DomainError("target coincides with the base branch point")
         leg_len = min(0.45 * gap, abs(direction))
         waypoint = base + leg_len * direction / abs(direction)
-        val, nu_val = _integrate_base_leg(data, base, waypoint, _LNMU_TOL)
+        val, nu_val = _integrate_base_leg(data, waypoint, _LNMU_TOL)
         if abs(waypoint - kappa) > 1e-13:
             path = safe_path(data, waypoint, kappa)
             more, nu_val = integrate_dlnmu(data, path, nu_start=nu_val, tol=_LNMU_TOL)
@@ -533,9 +558,9 @@ def period_integrals(data, tol=1e-10):
 
 
 def _canonical_lnmu(z):
-    """Shift Im into (-pi, pi] for reporting."""
-    im = z.imag - 2.0 * math.pi * math.floor((z.imag + math.pi) / (2.0 * math.pi))
-    return complex(z.real, im)
+    """Shift Im into (-pi, pi] for reporting; within _LNMU_TOL of -pi is +pi."""
+    im = math.remainder(z.imag, 2.0 * math.pi)
+    return complex(z.real, im + 2.0 * math.pi if im < _LNMU_TOL - math.pi else im)
 
 
 def closing_residuals(data, period_tol):
@@ -631,43 +656,17 @@ def _theta_increments(data, lo, hi):
 
 
 def _theta_walk(data, ts):
-    """(edges, theta - theta(ts[0])) of the cells of one adaptive GL16 pass
-    over the strictly increasing ts in [-pi/2, pi/2]; every ts is an edge.
-
-    GL16 on each cell is tested against the sum over its halves (_adaptive's
-    test, tolerance _LNMU_TOL/(len(ts) - 1) per starting cell): the halves of
-    a passing cell are accepted, all failing cells split at once with half the
-    tolerance.  a > 0 is decided before any quadrature: no real root of a in
-    the range, and so one sign there, positive at its middle.
+    """(edges, theta - theta(ts[0])) of the cells of one _adaptive pass, to
+    _LNMU_TOL, over the strictly increasing float array ts in [-pi/2, pi/2];
+    every ts is an edge.  a > 0 is decided before any quadrature: no real
+    root of a in the range, and so one sign there, positive at its middle.
     """
-    ts = np.asarray(ts, dtype=float)
     if (any(r.is_real and ts[0] <= np.arctan(r.value.real) <= ts[-1] for r in data.a_roots)
             or data.a(math.tan(0.5 * (ts[0] + ts[-1]))) <= 0):
         raise DomainError("a has real zeros and is not positive on the range; no positive branch")
-    lo, hi = ts[:-1], ts[1:]
-    tol = _LNMU_TOL / max(len(ts) - 1, 1)
-    starts, gains = [ts[:0]], [ts[:0]]
-    depth = 0
-    while len(lo):
-        mid = 0.5 * (lo + hi)
-        whole, left, right = np.split(_theta_increments(
-            data, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))), 3)
-        err = np.abs(left + right - whole)
-        done = err < np.maximum(tol, 1e-15 * (np.abs(left) + np.abs(right)))
-        starts += [lo[done], mid[done]]
-        gains += [left[done], right[done]]
-        if done.all():
-            break
-        if depth >= _DEPTH_CAP or not np.isfinite(err).all():
-            worst = float(np.max(err[~done]))
-            raise ConvergenceError(f"theta quadrature along the real axis stalled with "
-                                   f"error estimate {worst:.3e}", residual=worst)
-        lo, hi = np.concatenate((lo[~done], mid[~done])), np.concatenate((mid[~done], hi[~done]))
-        tol *= 0.5
-        depth += 1
-    starts, gains = np.concatenate(starts), np.concatenate(gains)
-    order = np.argsort(starts)
-    return np.append(starts[order], ts[-1]), np.concatenate(([0.0], np.cumsum(gains[order])))
+    starts, gains, _ = _adaptive(lambda t, _: _theta_prime(data, t), ts[:-1], ts[1:], _LNMU_TOL,
+                                 label="theta quadrature along the real axis")
+    return np.append(starts, ts[-1]), np.concatenate(([0.0], np.cumsum(gains)))
 
 
 def _newton_crossings(data, t_lo, th_lo, t_hi, th_hi, levels):

@@ -396,7 +396,7 @@ def test_delta_rotational_closed_form_on_leg_and_polyline(monkeypatch, phi):
     if phi:
         data = sp.mobius_transform_data(data, phi)
     c, s = math.cos(phi), math.sin(phi)
-    base = sp._base_point(data)
+    base = data.base_leg[0]
     gap = sp._local_gap(data.obstacles, base)
     polylines = []
     integrate = sp.integrate_dlnmu
@@ -420,17 +420,18 @@ def test_delta_rotational_closed_form_on_leg_and_polyline(monkeypatch, phi):
         assert abs(got - _rotational_delta(original, alpha, b2)) < 1e-9
 
 
-# ln mu and the periods of a genus-2 curve with no closed form, recorded with
-# repr before the segment and base-leg integrators were merged into one.
+# ln mu and the periods of a genus-2 curve with no closed form.  ln mu and nu
+# are the 30-digit values of _mpmath_lnmu, rounded to doubles (printed with
+# repr); the periods were recorded with repr from the library.
 _G2_A = [0.4625000000000001, -0.40000000000000013, 2.1000000000000005, -1.6, 1.0]
 _G2_LNMU = [
-    (0.1 - 0.45j, -0.9183904592423753 + 0.23395041650984122j,
-     0.35172676845283557 - 0.13139700442275912j),
-    (0.3 + 0.2j, -2.652247489073514 + 0.4391069854191491j,
-     0.688814443873883 + 0.12334236129281227j),
-    (1.7, -2.2038824859890136 + 2.211763872635082j, 4.967241890627031 + 0j),
-    (-2.4 + 0.9j, -2.2707919957448097 - 2.7873950408593244j,
-     15.076591428213487 - 19.342120491127144j),
+    (0.1 - 0.45j, -0.9183904592424023 + 0.2339504165098519j,
+     0.35172676845283546 - 0.13139700442275914j),
+    (0.3 + 0.2j, -2.6522474890735768 + 0.43910698541914434j,
+     0.688814443873883 + 0.12334236129281226j),
+    (1.7, -2.2038824859890815 + 2.2117638726349917j, 4.967241890627031 + 0j),
+    (-2.4 + 0.9j, -2.2707919957450433 - 2.7873950408592183j,
+     15.07659142821349 - 19.342120491127144j),
 ]
 _G2_PERIODS = [
     -8.815529943956324 - 3.3306690738754696e-16j,
@@ -449,7 +450,7 @@ def _genus2():
 
 def test_genus2_lnmu_and_periods_pinned():
     data = _genus2()
-    assert abs(sp._base_point(data) + 0.5j) < 1e-12  # 0.1 - 0.45j lies on the base leg
+    assert abs(data.base_leg[0] + 0.5j) < 1e-12  # 0.1 - 0.45j lies on the base leg
 
     def close(got, want):
         return abs(got - want) <= 1e-14 * max(abs(want), 1.0)
@@ -612,7 +613,7 @@ def test_grazing_segment_is_resolved_by_splitting_cells(monkeypatch):
 
     def recording(*args):
         picks, jump = track_chain(*args)
-        broken.append(jump > 0)
+        broken.append(np.any(jump > 0))
         return picks, jump
 
     monkeypatch.setattr(sp, "_track_chain", recording)
@@ -622,13 +623,12 @@ def test_grazing_segment_is_resolved_by_splitting_cells(monkeypatch):
     assert abs(got_nu - want_nu) <= 1e-13 * max(abs(want_nu), 1.0)
 
 
-def test_genus2_lnmu_matches_mpmath():
-    # ln mu along the same legs at 30 digits.  nu is continued along each
-    # straight leg as nu(P) prod_j sqrt((k - e_j)/(P - e_j)) over the branch
-    # points e_j: the principal root of each factor is continuous there, since
-    # a segment subtends an angle below pi at any point off it.
-    mpmath = pytest.importorskip("mpmath")
-    data = _genus2()
+def _mpmath_lnmu(mpmath, data, kappa):
+    """ln mu and nu at kappa along lnmu_at's legs, at 30 digits.  nu is
+    continued along each straight leg as nu(P) prod_j sqrt((k - e_j)/(P - e_j))
+    over the branch points e_j: the principal root of each factor is
+    continuous there, since a segment subtends an angle below pi at any point
+    off it."""
     with mpmath.workdps(30):
         a_coeffs = [mpmath.mpf(float(c)) for c in data.a.coeffs]
         branch = list(mpmath.polyroots(a_coeffs[::-1], maxsteps=200, extraprec=200))
@@ -647,35 +647,43 @@ def test_genus2_lnmu_matches_mpmath():
                     out *= mpmath.sqrt((k - e) / (start - e))
             return out
 
-        base_f = sp._base_point(data)
+        base_f = data.base_leg[0]
         base = min(branch, key=lambda e: abs(e - base_f))
-        for kappa in (0.3 + 0.2j, 1.7, -2.4 + 0.9j):
-            want_val, want_nu = sp.lnmu_at(data, kappa)
-            direction = kappa - base_f
-            leg = min(0.45 * sp._local_gap(data.obstacles, base_f), abs(direction))
-            waypoint = base_f + leg * direction / abs(direction)
-            # the base leg in k = base + s^2 d, where nu/s is analytic
-            d = mpmath.mpc(waypoint) - base
-            phi0 = mpmath.sqrt(d * mpmath.fprod(base - e for e in branch if e is not base))
+        direction = kappa - base_f
+        leg = min(0.45 * sp._local_gap(data.obstacles, base_f), abs(direction))
+        waypoint = base_f + leg * direction / abs(direction)
+        # the base leg in k = base + s^2 d, where nu/s is analytic
+        d = mpmath.mpc(waypoint) - base
+        phi0 = mpmath.sqrt(d * mpmath.fprod(base - e for e in branch if e is not base))
 
-            def phi(s):
-                return continued(base, phi0, base + s * s * d, skip=base)
+        def phi(s):
+            return continued(base, phi0, base + s * s * d, skip=base)
 
-            val = mpmath.quad(lambda s: 2 * s * d * form(base + s * s * d, s * phi(s)), [0, 1])
-            nu_k = phi(1)
-            path = sp.safe_path(data, waypoint, kappa)
-            for p, q in zip(path, path[1:]):
-                p, q = mpmath.mpc(p), mpmath.mpc(q)
-                val += mpmath.quad(
-                    lambda t: (q - p) * form(p + t * (q - p), continued(p, nu_k, p + t * (q - p))),
-                    [0, 1],
-                )
-                nu_k = continued(p, nu_k, q)
-            val, nu_k = complex(val), complex(nu_k)
-            if complex(kappa).imag == 0 and nu_k.real < 0:
-                val, nu_k = -val, -nu_k
-            assert abs(val - want_val) <= 1e-11 * max(abs(want_val), 1.0)
-            assert abs(nu_k - want_nu) <= 1e-11 * max(abs(want_nu), 1.0)
+        val = mpmath.quad(lambda s: 2 * s * d * form(base + s * s * d, s * phi(s)), [0, 1])
+        nu_k = phi(1)
+        path = sp.safe_path(data, waypoint, kappa) if abs(waypoint - kappa) > 1e-13 else []
+        for p, q in zip(path, path[1:]):
+            p, q = mpmath.mpc(p), mpmath.mpc(q)
+            val += mpmath.quad(
+                lambda t: (q - p) * form(p + t * (q - p), continued(p, nu_k, p + t * (q - p))),
+                [0, 1],
+            )
+            nu_k = continued(p, nu_k, q)
+        val, nu_k = complex(val), complex(nu_k)
+        if complex(kappa).imag == 0 and nu_k.real < 0:
+            val, nu_k = -val, -nu_k
+        return val, nu_k
+
+
+def test_genus2_lnmu_matches_mpmath():
+    # ln mu along the same legs at 30 digits, at the four points of _G2_LNMU
+    mpmath = pytest.importorskip("mpmath")
+    data = _genus2()
+    for kappa, _, _ in _G2_LNMU:
+        got_val, got_nu = sp.lnmu_at(data, kappa)
+        want_val, want_nu = _mpmath_lnmu(mpmath, data, kappa)
+        assert abs(got_val - want_val) <= 1e-14 * max(abs(want_val), 1.0)
+        assert abs(got_nu - want_nu) <= 1e-14 * max(abs(want_nu), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,15 +797,29 @@ def test_a_vanishing_at_pm_i_exits_numerical(tmp_path, capsys, a, message):
     assert message in err and "Traceback" not in err
 
 
-def test_base_leg_past_depth_cap_loses_the_sheet(tmp_path, capsys):
+def _double_base_curve():
     # a = (k^2 + 1.0001)(k^2 + 1): the base -i is a double root of
     # (k^2 + 1) a, so nu/s on the base leg vanishes at s = 0 with its seed
-    # sqrt(p'(base) d), and the chain of the first cell breaks at every depth.
+    # sqrt(d q(base)), and the chain of the first cell breaks at every depth.
     # (With 1.0000001 for 1.0001, find_roots merges the pairs and takes a for
     # a square, which exits on "not divisible by sqrt(a)" instead.)
     a = np.polynomial.polynomial.polymul([1.0001, 0.0, 1.0], [1.0, 0.0, 1.0])
-    data = sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
+    return sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
                            1.2, -0.8)
+
+
+def _close_pair_curve(delta):
+    # a = (k - z)(k - zbar)(k - z - delta)(k - zbar - delta), z = 0.3 + 0.5i:
+    # the base branch point zbar has a neighbour delta away
+    z, a = 0.3 + 0.5j, np.array([1.0])
+    for r in (z, z.conjugate(), z + delta, z.conjugate() + delta):
+        a = np.polynomial.polynomial.polymul(a, [-r, 1.0])
+    return sp.SpectralData(la.RealPolynomial(a.real), la.RealPolynomial(np.array([0.3, -0.2, 0.5, 0.1])),
+                           1.2, -0.8)
+
+
+def test_base_leg_past_depth_cap_loses_the_sheet(tmp_path, capsys):
+    data = _double_base_curve()
     with pytest.raises(ConvergenceError, match="sheet tracking lost") as exc:
         sp.lnmu_at(data, 1.2)
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0.4
@@ -806,6 +828,69 @@ def test_base_leg_past_depth_cap_loses_the_sheet(tmp_path, capsys):
     assert cli.main(["check", str(path)]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure: sheet tracking lost" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.03, 0.01])
+def test_lnmu_next_to_a_close_branch_pair_matches_mpmath(delta):
+    # the envelope of ln mu next to a close pair: down to delta = 0.01 the
+    # base leg, evaluated as sqrt(d q) with q = p/(k - base), keeps its sheet
+    mpmath = pytest.importorskip("mpmath")
+    data = _close_pair_curve(delta)
+    for kappa in (1.2, -0.8, 2 + 1j):
+        got_val, got_nu = sp.lnmu_at(data, kappa)
+        want_val, want_nu = _mpmath_lnmu(mpmath, data, kappa)
+        assert abs(got_val - want_val) <= 1e-12 * max(abs(want_val), 1.0)
+        assert abs(got_nu - want_nu) <= 1e-12 * max(abs(want_nu), 1.0)
+
+
+def test_lnmu_past_the_close_pair_envelope_exits_numerical(tmp_path, capsys):
+    # at delta = 1e-4 the polyline leg next to the pair stalls (lnmu_at
+    # raises ConvergenceError, see test_failing_quadrature_work_is_bounded)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_close_pair_curve(1e-4).to_json()))
+    assert cli.main(["check", str(path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case,ceiling", [
+    (_double_base_curve, 10_000),  # 3,276 root values at each point
+    (lambda: _close_pair_curve(1e-4), 150_000),  # 69,420-79,196
+], ids=["double-base", "close-pair"])
+def test_failing_quadrature_work_is_bounded(monkeypatch, case, ceiling):
+    # a cell that never passes splits, with its neighbours, until the depth
+    # cap or the cap on active cells: the root values evaluated by one
+    # failing lnmu_at stay under a fixed ceiling (doubling every cell to the
+    # depth cap would need millions), and the residual is finite
+    data, count = case(), [0]
+    adaptive = sp._adaptive
+
+    def counting(integrand, lo, hi, tol, root=None, **kwargs):
+        def counted(x):
+            count[0] += x.size
+            assert count[0] <= ceiling
+            return root(x)
+        return adaptive(integrand, lo, hi, tol, root=root and counted, **kwargs)
+
+    monkeypatch.setattr(sp, "_adaptive", counting)
+    for kappa in (1.2, -0.8, 2 + 1j):
+        count[0] = 0
+        with pytest.raises(ConvergenceError) as exc:
+            sp.lnmu_at(data, kappa)
+        assert math.isfinite(exc.value.residual)
+
+
+@pytest.mark.parametrize("H,alpha", [(0.0, 0.25), (0.3, 0.4), (0.7, 0.1), (0.7, 0.4), (1.0, 0.1)])
+def test_check_reports_mu_minus_one_as_plus_pi(tmp_path, H, alpha):
+    # mu = -1 at both marked points; Im ln mu lands within rounding on
+    # either side of pi, and the report gives +pi whatever the last bit
+    out = tmp_path / "check.json"
+    argv = ["check", "--family", "revolution", "--H", str(H), "--alpha", str(alpha), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert [report["C"][key][1] for key in ("lnmu0", "lnmu1")] == [3.14159265] * 2  # 9 digits
+    for im in (math.pi, np.nextafter(math.pi, 4.0), -math.pi, np.nextafter(-math.pi, -4.0), 3 * math.pi):
+        assert sp._canonical_lnmu(complex(0.5, im)) == pytest.approx(complex(0.5, math.pi), abs=1e-12)
 
 
 def test_loop_around_one_branch_point_does_not_close():

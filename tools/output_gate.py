@@ -15,13 +15,15 @@ stdout, stderr, the oracle verdict of the workload and the text of every
 output file.  Rounds FIRST..LAST (inclusive) of each seed are generated as
 perfbench generates them.
 
-The report lists, per field, how many jobs differ and by how much:
+The report gives the oracle failures per job kind (`surface.far 15 -> 15`),
+then lists, per field, how many jobs differ and by how much:
 `rc`, `verdict`, `stdout`, `stderr`, and per output file its JSON keys
 (list indices shown as []) or CSV columns.  Text that differs only in its
 numbers is compared number by number; `max |diff|` is then the largest
 absolute difference.  A list whose length changed shows as `length a -> b`.
-Exit status 0 when both sides agree exactly, 1 otherwise.  Standard library
-only; the children need what cmcs3 needs.
+Exit status 1 when the oracle failures of some job kind rise from BEFORE to
+AFTER, or the two sides ran different jobs; 0 otherwise, whatever the diff
+shows.  Standard library only; the children need what cmcs3 needs.
 """
 
 import argparse
@@ -215,13 +217,21 @@ def main(argv=None):
     if ids_b != ids_a:
         print("the two sides ran different jobs")
         return 1
+    print("oracle failures per job kind:")
+    rose = False
+    for kind in sorted({i.split(":")[-1] for i in ids_b}):  # ids end in ":<job kind>"
+        n_b, n_a = (sum(1 for e in side if e["verdict"] and e["id"].endswith(":" + kind))
+                    for side in records)
+        rose = rose or n_a > n_b
+        print(f"  {kind} {n_b} -> {n_a}")
     report = compare(before, after)
+    print("differences:")
     for name, (n, worst, example) in sorted(report.items()):
         size = "text" if worst is None else f"max |diff| {worst:.3g}"
         print(f"  {name:<36} {n:>5} jobs  {size:<20} e.g. {example}")
     if not report:
         print("  identical")
-    return 1 if report else 0
+    return 1 if rose else 0
 
 
 if __name__ == "__main__":
