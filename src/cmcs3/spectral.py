@@ -5,16 +5,15 @@ the abelian differential
 
     d ln mu = 2 pi i b(k) dk / ((k^2+1) nu).
 
-Everything reduces to contour integration of this differential with careful
-square-root sheet tracking: the closing conditions (positivity of a, integral
-periods, mu = +-1 at the marked points), the trace function Delta = 2cosh(ln mu)
-with its real branch-point diagnostics, and the integer invariant counting
-double points.
+Everything reduces to integrating this differential (along paths with careful
+square-root sheet tracking, on cuts, by residues): the closing conditions
+(positivity of a, integral periods, mu = +-1 at the marked points), the trace
+function Delta = 2cosh(ln mu) with its real branch-point diagnostics, and the
+integer invariant counting double points.
 """
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,10 +91,6 @@ class SpectralData:
         kappa = np.asarray(kappa, dtype=complex)
         return (kappa * kappa + 1.0) * self.a(kappa)
 
-    def nu(self, kappa):
-        """The principal square root of p (either sheet; callers track it)."""
-        return np.sqrt(self.p(kappa))
-
     def dlnmu(self, kappa, nu):
         """d ln mu / d kappa at kappa on the sheet of nu."""
         return _TWO_PI_I * self.b(kappa) / ((kappa * kappa + 1.0) * nu)
@@ -123,6 +118,15 @@ class SpectralData:
         return tuple(r.value for r in self.branch_points)
 
     @cached_property
+    def gaps(self):
+        """Each obstacle's distance to the nearest other one (see _local_gap)."""
+        return tuple(_local_gap(self.obstacles, o) for o in self.obstacles)
+
+    def gap_at(self, z):
+        """The gap of the obstacle nearest z."""
+        return self.gaps[int(np.argmin(np.abs(np.array(self.obstacles) - z)))]
+
+    @cached_property
     def base_leg(self):
         """(base, its local gap, q = p/(kappa - base) by exact division) of
         lnmu_at, or None: the base is the odd root of a of smallest |kappa|."""
@@ -130,7 +134,7 @@ class SpectralData:
         if not odd:
             return None
         base = min(odd, key=lambda z: (abs(z),) + plane_key(z))
-        return base, _local_gap(self.obstacles, base), npoly.polydiv(self.p_coeffs, [-base, 1.0])[0]
+        return base, self.gap_at(base), npoly.polydiv(self.p_coeffs, [-base, 1.0])[0]
 
     @cached_property
     def closed_form(self):
@@ -279,7 +283,7 @@ def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
         return data.dlnmu(np.interp(u, ks, path), nus) * velocity
 
     _, gains, nu_end = _adaptive(dlnmu, ks[:-1], ks[1:], tol,
-                                 root=lambda u: data.nu(np.interp(u, ks, path)), r_from=nu_start)
+                                 root=lambda u: np.sqrt(data.p(np.interp(u, ks, path))), r_from=nu_start)
     return complex(gains.sum()), nu_end
 
 
@@ -287,29 +291,19 @@ def _local_gap(obstacles, o):
     return min(abs(p - o) for p in obstacles if abs(p - o) > 1e-12)  # +-i are two obstacles
 
 
-def _detour_radius(obstacles, o):
-    """Radius kept clear around o: 0.3 times its gap, clipped to [2e-3, 1]."""
-    return 0.3 * min(max(_local_gap(obstacles, o), 2e-3), 1.0)
+def _detour_radius(gap):
+    """Radius kept clear around an obstacle: 0.3 times its gap, clipped to [2e-3, 1]."""
+    return 0.3 * min(max(gap, 2e-3), 1.0)
 
 
 def _guard_path(data, path):
     """Reject a polyline passing within 1e-3 local gaps of an obstacle, naming the
-    first such segment's first such obstacle.  A long path (a period loop) is
-    checked in one array expression; the few segments of an open leg are faster
-    one by one."""
-    obstacles = data.obstacles
-    offsets = [1e-3 * min(_local_gap(obstacles, o), 1.0) for o in obstacles]
-    if len(path) > 4:
-        path = np.asarray(path, dtype=complex)
-        p, d, o = path[:-1, None], np.diff(path)[:, None], np.array(obstacles)
-        t = np.clip(((o - p) * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
-        hits = np.argwhere(np.abs(o - (p + t * d)) < offsets)[:, 1]
-    else:
-        hits = [j for p, q in zip(path, path[1:]) for j, o in enumerate(obstacles)
-                if _segment_distance(p, q, o) < offsets[j]]
-    if len(hits):
-        raise DomainError(f"integration path passes within {offsets[hits[0]]:.2e} "
-                          f"of the branch point {obstacles[hits[0]]}")
+    first such segment's first such obstacle."""
+    offsets = [1e-3 * min(gap, 1.0) for gap in data.gaps]
+    for p, q in zip(path, path[1:]):
+        for o, offset in zip(data.obstacles, offsets):
+            if _segment_distance(p, q, o) < offset:
+                raise DomainError(f"integration path passes within {offset:.2e} of the branch point {o}")
 
 
 def _segment_distance(p, q, o):
@@ -324,12 +318,11 @@ def _segment_distance(p, q, o):
 def safe_path(data, start, end, depth=0):
     """Polyline from start to end detouring around branch points and +-i."""
     start, end = complex(start), complex(end)
-    obstacles = data.obstacles
     worst = None
-    for o in obstacles:
+    for o, gap in zip(data.obstacles, data.gaps):
         if abs(o - start) < 1e-12 or abs(o - end) < 1e-12:
             raise DomainError("path endpoint sits on a branch point")
-        r = _detour_radius(obstacles, o)
+        r = _detour_radius(gap)
         dist = _segment_distance(start, end, o)
         if dist < r and (worst is None or dist < worst[1]):
             worst = (o, dist, r)
@@ -474,87 +467,91 @@ def _dist_to_2pii(z):
     return abs(z - _TWO_PI_I * k)
 
 
-# kappa(t) = center + u (major cos t + i minor sin t), 0 <= t <= 2 pi: an ellipse or circle
-Loop = namedtuple("Loop", "center major minor u", defaults=(1.0,))
-_TRAPEZOID_START = 32  # points of the first trapezoidal sum around a loop
-_TRAPEZOID_CAP = 1 << 15  # most points around a loop before ConvergenceError
+_TRAPEZOID_START = 32  # points of the first trapezoidal sum over a period's cut
+_TRAPEZOID_CAP = 1 << 15  # most points over a cut before ConvergenceError
 
 
-def _loop_integral(data, loop, tol):
-    """Integral of d ln mu around a loop that must close on the curve.
+def homology_cycles(data):
+    """Consecutive pairs (p1, p2) of odd roots of a, sorted by plane_key: the
+    homology cycles, each collapsed onto its cut p1 p2 (+-i are not paired,
+    see period_loops).  A third branch point o bounds the strip |Im s| < A,
+    cosh A = (|o - p1| + |o - p2|)/|p2 - p1|, where the integrand of
+    _cut_period is analytic, and its trapezoidal rule needs N of about 50/A.
+    A < 2e-3 (so any o within 1e-3 local gaps of the cut) is rejected."""
+    pts = sorted((r.value for r in data.a_roots if r.multiplicity % 2 == 1), key=plane_key)
+    if len(pts) % 2 != 0:
+        raise InconsistencyError("odd number of odd-multiplicity branch points")
+    pairs = list(zip(pts[0::2], pts[1::2]))
+    for p1, p2 in pairs:
+        reach = math.cosh(2e-3) * abs(p2 - p1)
+        if any(abs(o - p1) + abs(o - p2) < reach and min(abs(o - p1), abs(o - p2)) > 1e-9
+               for o in data.obstacles):
+            raise InconsistencyError("homology cut passes a third branch point; "
+                                     "configuration not supported")
+    return pairs
 
-    The integrand is analytic and periodic in t, so the N-point trapezoidal
-    rule converges geometrically (Trefethen-Weideman, SIAM Rev. 56, 2014).
-    N doubles until two sums agree.  Each doubling evaluates nu at the new
-    points only (t_j = 2 pi j/N keeps the old ones) and tracks its sheet
-    along the whole chain from kappa(0); while the chain breaks, N doubles
-    without a sum.
-    """
-    n, vals, total, diff = _TRAPEZOID_START, None, math.inf, math.inf
+
+def _cut_period(data, p1, p2, r, tol):
+    """Integral of d ln mu around the cycle of the pair (p1, p2), on its cut.
+
+    kappa = c + h cos s, c = (p1 + p2)/2, h = (p2 - p1)/2, gives nu = i h sin s
+    Q(kappa), Q^2 = q = p/((kappa - p1)(kappa - p2)) by exact division, and the
+    period -2 pi int_0^2pi b/((kappa^2+1) Q) ds.  The integrand is analytic,
+    periodic and even, so the N-point trapezoidal rule, summed over its nodes
+    in [0, pi], converges geometrically (Trefethen-Weideman, SIAM Rev. 56,
+    2014).  N doubles until two sums agree, and without a sum while the chain
+    of Q breaks.  Q starts at c + (h/|h|)(|h| + r), where an ellipse of minor
+    radius r around the pair would, as sqrt(p)/w with sqrt(p) principal and
+    w ~ kappa - c, and is tracked along the axis to p2, then over the cut."""
+    c, h = 0.5 * (p1 + p2), 0.5 * (p2 - p1)
+    q = npoly.polydiv(data.p_coeffs, npoly.polyfromroots([p1, p2]))[0]
+    if np.any(np.abs(npoly.polyval([p1, p2], q)) < 1e-9 * npoly.polyval(np.abs([p1, p2]), np.abs(q))):
+        raise InconsistencyError("an end of a homology cut is a multiple branch point")
+    start = c + h / abs(h) * (abs(h) + r)
+    seed = cmath.sqrt(complex(data.p(start))) / ((start - c) * cmath.sqrt(1.0 - (h / (start - c)) ** 2))
+    n, total, diff = _TRAPEZOID_START, math.inf, math.inf
     while True:
-        e = np.exp(1j * np.arange(n + 1) * (2.0 * math.pi / n))
-        ks = loop.center + loop.u * (loop.major * e.real + 1j * loop.minor * e.imag)
-        _guard_path(data, ks)
-        vals = data.nu(ks) if vals is None else np.insert(
-            vals, np.arange(1, n // 2 + 1), data.nu(ks[1::2]))
-        nus, broken = _track_chain(vals, vals[0])
+        kappa = c + h * np.cos(np.linspace(0.0, math.pi, n // 2 + 1))
+        axis = start + (p2 - start) * np.linspace(0.0, 1.0, n // 4, endpoint=False)
+        qs, broken = _track_chain(np.sqrt(npoly.polyval(np.concatenate((axis, kappa)), q)), seed)
         if not broken:
-            if abs(nus[-1] - nus[0]) > 1e-5 * max(abs(nus[0]), 1.0):
-                raise InconsistencyError("loop did not close on the curve (sheet mismatch)")
-            velocity = loop.u * (1j * loop.minor * e.real - loop.major * e.imag)
-            prev, total = total, 2.0 * math.pi / n * np.sum((data.dlnmu(ks, nus) * velocity)[:-1])
+            f = data.b(kappa) / ((kappa * kappa + 1.0) * qs[len(axis):])
+            prev, total = total, -8.0 * math.pi**2 / n * (f[1:-1].sum() + 0.5 * (f[0] + f[-1]))
             diff = abs(total - prev)
             if diff < max(tol, 1e-15 * abs(total)):
                 return total
         if 2 * n > _TRAPEZOID_CAP:
             what, residual = ("difference", diff) if math.isfinite(diff) else ("sheet jump", broken)
-            raise ConvergenceError(f"trapezoidal rule around a period loop stalled at N = {n} "
+            raise ConvergenceError(f"trapezoidal rule along a homology cut stalled at N = {n} "
                                    f"with {what} {residual:.3e}", residual=float(residual))
         n *= 2
 
 
-def homology_cycles(data):
-    """Ellipses around consecutive pairs of odd roots of a.
-
-    The branch points +-i of the kappa^2+1 factor are excluded from the
-    pairing (see period_loops).
-    """
-    pts = sorted((r.value for r in data.a_roots if r.multiplicity % 2 == 1), key=plane_key)
-    if len(pts) % 2 != 0:
-        raise InconsistencyError("odd number of odd-multiplicity branch points")
-    all_pts = data.obstacles  # +-i at least
-    r = 0.5 * min(abs(p - q) for i, p in enumerate(all_pts) for q in all_pts[i + 1:])
-    cycles = []
-    for p1, p2 in zip(pts[0::2], pts[1::2]):
-        center = 0.5 * (p1 + p2)
-        half = 0.5 * abs(p2 - p1)
-        u = (p2 - p1) / abs(p2 - p1) if abs(p2 - p1) > 1e-12 else 1.0 + 0.0j
-        for o in all_pts:
-            # reject configurations where a foreign branch point sits inside
-            w = (o - center) / u
-            inside = (w.real / (half + r)) ** 2 + (w.imag / r) ** 2 < 1.0
-            if inside and min(abs(o - p1), abs(o - p2)) > 1e-9:
-                raise InconsistencyError("homology cycle would enclose a third branch "
-                                         "point; configuration not supported")
-        cycles.append(Loop(center, half + r, r, u))
-    return cycles
+def _node_period(data, e):
+    """Integral of d ln mu around the node e, a double root of a: (2 pi i)^2
+    b(e)/((e^2+1) Q(e)), Q^2 = p/(kappa - e)^2 by exact division, with the sign
+    of Q nearer sqrt(p)(e + r)/r (r = _detour_radius), where a circle would start."""
+    q = npoly.polydiv(data.p_coeffs, npoly.polyfromroots([e, e]))[0]
+    r = _detour_radius(data.gap_at(e))
+    root, near = cmath.sqrt(complex(npoly.polyval(e, q))), cmath.sqrt(complex(data.p(e + r))) / r
+    root = root if abs(root - near) <= abs(root + near) else -root
+    return _TWO_PI_I**2 * complex(data.b(e)) / ((e * e + 1.0) * root)
 
 
 def period_loops(data):
-    """The loops of condition B: homology_cycles and circles around the even
-    roots of a (node residues).  +-i need none: with kappa = +-i + w^2,
-    d ln mu = G(w^2) dw/w^2 has no 1/w term when a(+-i) != 0."""
-    loops = homology_cycles(data)
-    for root in data.a_roots:
-        if root.multiplicity % 2 == 0:
-            r = _detour_radius(data.obstacles, root.value)
-            loops.append(Loop(root.value, r, r))
-    return loops
+    """The cycles of condition B: the homology_cycles pairs, and the even
+    roots of a (nodes), whose periods are residues.  +-i need none: with
+    kappa = +-i + w^2, d ln mu = G(w^2) dw/w^2 has no 1/w term when
+    a(+-i) != 0."""
+    return homology_cycles(data), [r.value for r in data.a_roots if r.multiplicity % 2 == 0]
 
 
 def period_integrals(data, tol=1e-10):
-    """The integrals of d ln mu around period_loops(data), checked by condition B."""
-    return [_loop_integral(data, loop, tol) for loop in period_loops(data)]
+    """The periods of d ln mu checked by condition B: one per homology pair,
+    then one per node (see period_loops)."""
+    pairs, nodes = period_loops(data)
+    r = 0.5 * min(data.gaps)
+    return [_cut_period(data, p1, p2, r, tol) for p1, p2 in pairs] + [_node_period(data, e) for e in nodes]
 
 
 def _canonical_lnmu(z):
