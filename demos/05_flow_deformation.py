@@ -9,6 +9,7 @@ b at unit rate, monitoring the closing conditions at every accepted step.
 import numpy as np
 
 from cmcs3 import families, flow
+from cmcs3 import spectral as sp
 
 data, _ = families.revolution_family(families.RevolutionParams(0.0, 0.25))
 print(f"initial a = {data.a.coeffs}, b = {data.b.coeffs}, kappa0 = {data.kappa0}")
@@ -22,7 +23,7 @@ scale = 0.1 / np.max(np.abs(c.coeffs))
 c_small = flow.la.RealPolynomial(scale * c.coeffs)
 traj, status = flow.flow_integrate(
     data,
-    lambda d: c_small,
+    lambda d, t: c_small,
     0.1,
     dt0=2e-3,
     monitor_tol=1e-6,
@@ -38,3 +39,16 @@ for state in traj:
 
 path = flow.trajectory_to_csv(traj, "revolution_flow.csv")
 print(f"wrote {path}")
+
+# The driver `cmcs3 flow --target-branch 0` runs: c is rebuilt at every stage
+# of the new curve.  Along the exact flow Delta(beta(t)) = Delta(beta(0)) + t,
+# so the supplier takes ln mu once, at t = 0.
+delta0 = sp.delta(data, 0.0).real
+traj, status = flow.flow_integrate(
+    data, flow.branch_target_supplier(data, 0), 0.02, sample_times=[0.01]
+)
+print(f"target flow: {status['steps_accepted']} steps, {status['rhs_evals']} right-hand sides")
+for state in traj:
+    beta = flow.b_root_basis(state.data)[0].value
+    moved = sp.delta(state.data, beta).real - delta0
+    print(f"t = {state.t:.3f}: Delta at the root of b moved by {moved:.9f}")

@@ -243,14 +243,14 @@ def cmd_check(args):
 
 
 def _c_supplier_from_args(args, data):
+    """c_supplier(state, t) of flow_integrate; only the target driver reads t."""
     if args.target_branch is not None:
-        idx = args.target_branch
-        return lambda d: flow.build_c_branch_target(d, idx)
+        return flow.branch_target_supplier(data, args.target_branch)
     if args.c == "zero":
         zero = la.RealPolynomial(np.zeros(1))
-        return lambda d: zero
+        return lambda d, t: zero
     if args.c == "mobius":
-        return lambda d: la.RealPolynomial(d.b.coeffs.copy())
+        return lambda d, t: la.RealPolynomial(d.b.coeffs.copy())
     try:
         coeffs = np.array([float(x) for x in args.c.split(",")])
     except ValueError:
@@ -258,7 +258,7 @@ def _c_supplier_from_args(args, data):
     if len(coeffs) > data.g + 2:
         raise _SchemaError(f"c has degree > g+1 = {data.g + 1}")
     c = la.RealPolynomial(coeffs)
-    return lambda d: c
+    return lambda d, t: c
 
 
 def cmd_flow(args):
@@ -286,8 +286,7 @@ def cmd_flow(args):
                 "res_C0": final.monitors["res_C0"],
                 "res_C1": final.monitors["res_C1"],
                 "res_B": final.monitors["res_B"],
-                "completed": status["completed"],
-                "reason": status["reason"],
+                **{k: v for k, v in status.items() if k != "t_reached"},
             },
         )
     print(

@@ -134,11 +134,12 @@ def b_root_basis(data):
     return sorted(data.b_roots, key=lambda r: sp.plane_key(r.value))
 
 
-def build_c_branch_target(data, i):
-    """The polynomial c moving Delta at the i-th root of b at unit rate.
+def _branch_c(data, i, sinh_nu):
+    """The polynomial c moving Delta at the i-th root beta of b at unit rate.
 
     c vanishes at every other root of b, so the Delta-values there are
-    stationary to first order.
+    stationary to first order.  sinh_nu(beta) gives (sinh ln mu, nu) at beta on
+    one sheet; c = nu/(4 pi i sinh ln mu) at beta does not depend on which.
     """
     roots = b_root_basis(data)
     if not roots:
@@ -149,9 +150,9 @@ def build_c_branch_target(data, i):
     if abs(beta.imag) > 1e-10:
         raise DomainError("targeted root of b is not real; real flows need a real target")
     beta = beta.real
-    a_root_vals = [r.value for r in data.a_roots]
-    for r in roots:
-        if any(abs(r.value - v) < 1e-8 for v in a_root_vals):
+    da = data.a.derivative()
+    for r in roots:  # Newton distance to the nearest root of a
+        if abs(data.a(r.value)) < 1e-8 * abs(da(r.value)):
             raise PreconditionError("a root of b coincides with a root of a")
     prod = np.array([1.0 + 0.0j])
     shift = 1.0
@@ -160,8 +161,7 @@ def build_c_branch_target(data, i):
             continue
         prod = npoly.polymul(prod, np.array([-r.value, 1.0]))
         shift *= beta - r.value
-    lnmu, nu_val = sp.lnmu_at(data, beta)
-    sh = cmath.sinh(lnmu)
+    sh, nu_val = sinh_nu(beta)
     if abs(sh) < 1e-10:
         raise DomainError(
             "Delta = +-2 at the targeted root of b; the unit-rate normalization blows up"
@@ -174,6 +174,52 @@ def build_c_branch_target(data, i):
     if c.degree > data.g + 1:
         raise PreconditionError("constructed c exceeds the allowed degree")
     return c
+
+
+def build_c_branch_target(data, i):
+    """The polynomial c moving Delta at the i-th root of b at unit rate, from
+    ln mu at that root of this curve."""
+
+    def sinh_nu(beta):
+        lnmu, nu_val = sp.lnmu_at(data, beta)
+        return cmath.sinh(lnmu), nu_val
+
+    return _branch_c(data, i, sinh_nu)
+
+
+def branch_target_supplier(data, i):
+    """c_supplier(state, t) of the flow that moves Delta at the i-th root of b
+    at unit rate, started at data.
+
+    Along the exact flow d ln mu/dkappa vanishes at the targeted root beta, so
+    Delta(beta(t)) = Delta(beta(0)) + t and sinh ln mu(beta(t)) =
+    +-sqrt((Delta0 + t)^2/4 - 1).  ln mu is taken once, at beta(0) on the first
+    call; each call then takes nu(beta) = sqrt(p(beta)) with the principal root
+    and the sign of sinh ln mu on its sheet with Re(sinh conj(s0)) > 0, which
+    holds no state between calls (rejected steps rerun their stages).
+    """
+    anchor = []
+
+    def at_start(beta):
+        lnmu, nu_val = sp.lnmu_at(data, beta)
+        principal = cmath.sqrt(complex(data.p(beta)))
+        sheet = math.copysign(1.0, (nu_val * principal.conjugate()).real)
+        anchor.append((2.0 * cmath.cosh(lnmu), sheet * cmath.sinh(lnmu)))
+        return cmath.sinh(lnmu), nu_val
+
+    def supplier(state, t):
+        if not anchor:
+            _branch_c(data, i, at_start)
+        delta0, s0 = anchor[0]
+
+        def sinh_nu(beta):
+            sh = cmath.sqrt((delta0 + t) ** 2 / 4.0 - 1.0)
+            sh = sh if (sh * s0.conjugate()).real >= 0 else -sh
+            return sh, cmath.sqrt(complex(state.p(beta)))
+
+        return _branch_c(state, i, sinh_nu)
+
+    return supplier
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +239,9 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# y5 - y4 = dt (E @ stage rates): summing E first keeps the error estimate
+# nonzero when the rates differ by less than an ulp of y
+_DP_E = _DP_B5 - _DP_B4
 
 
 def _padded(coeffs, n):
@@ -218,9 +267,9 @@ def _monitors(data):
     return sp.closing_residuals(data, 1e-9)
 
 
-def _stopped(reason, t):
-    """Status of a flow that stopped early at time t."""
-    return {"completed": False, "reason": reason, "t_reached": t}
+def _stopped(status, reason, t):
+    """status, marked as a flow that stopped early at time t."""
+    status.update(completed=False, reason=reason, t_reached=t)
 
 
 def flow_integrate(
@@ -234,11 +283,13 @@ def flow_integrate(
 ):
     """Integrate the deformation, monitoring the closing conditions.
 
-    c_supplier maps the current SpectralData to the polynomial c (so flows
-    like "keep targeting the same root of b" can re-resolve their target).
-    Steps whose closing residuals exceed monitor_tol are rejected and halved.
-    Returns (trajectory, status); trajectory rows are DeformationState at 0,
-    the requested sample times, and t_final.
+    c_supplier(state, t) gives the polynomial c at a stage's SpectralData and
+    time (so flows like "keep targeting the same root of b" can re-resolve
+    their target).  Steps whose closing residuals exceed monitor_tol are
+    rejected and halved.  Returns (trajectory, status); trajectory rows are
+    DeformationState at 0, the requested sample times, and t_final.  status
+    counts the right-hand sides, the accepted steps and the steps rejected by
+    the error estimate and by the monitors.
     """
     if t_final <= 0:
         raise PreconditionError("t_final must be positive")
@@ -246,10 +297,13 @@ def flow_integrate(
     if sample_times is None:
         sample_times = []
     targets = sorted({float(t) for t in sample_times if 0.0 < t < t_final} | {t_final})
+    status = dict(completed=True, reason="", t_reached=0.0, rhs_evals=0, steps_accepted=0,
+                  rejected_error=0, rejected_monitor=0)
 
-    def deriv(y):
+    def deriv(y, t):
+        status["rhs_evals"] += 1
         state = _unpack(y, g)
-        c = c_supplier(state)
+        c = c_supplier(state, t)
         adot, bdot, _ = solve_ab_dot(state.a, state.b, c)
         k0d, k1d = kappa_dot(state, c)
         return np.concatenate(
@@ -260,7 +314,6 @@ def flow_integrate(
     t = 0.0
     mon = _monitors(data)
     trajectory = [DeformationState(data, 0.0, mon)]
-    status = {"completed": True, "reason": "", "t_reached": 0.0}
     dt = dt0
     rejections = 0
 
@@ -268,39 +321,42 @@ def flow_integrate(
         while t < target - 1e-14:
             dt = min(dt, target - t)
             try:
-                ks = [deriv(y)]
+                ks = [deriv(y, t)]
                 for row in range(1, 7):
                     yi = y + dt * sum(aij * kj for aij, kj in zip(_DP_A[row], ks))
-                    ks.append(deriv(yi))
+                    ks.append(deriv(yi, t + _DP_C[row] * dt))
             except (ConditioningError, PreconditionError) as exc:
-                status = _stopped(str(exc), t)
+                _stopped(status, str(exc), t)
                 break
             ks = np.array(ks)
             y5 = y + dt * (_DP_B5 @ ks)
-            y4 = y + dt * (_DP_B4 @ ks)
             scale = rtol * (1.0 + np.abs(y5))
-            err = float(np.sqrt(np.mean((np.abs(y5 - y4) / scale) ** 2)))
+            err = float(np.sqrt(np.mean((np.abs(dt * (_DP_E @ ks)) / scale) ** 2)))
             accept = err <= 1.0
             if accept:
                 cand = _unpack(y5, g)
                 if abs(cand.kappa0 - cand.kappa1) < 1e-6:
-                    status = _stopped("marked points collided (mean curvature blow-up)", t)
+                    _stopped(status, "marked points collided (mean curvature blow-up)", t)
                     break
                 try:
                     mon = _monitors(cand)
                 except (ConvergenceError, DomainError) as exc:
-                    status = _stopped(str(exc), t)
+                    _stopped(status, str(exc), t)
                     break
                 if max(mon["res_C0"], mon["res_C1"], mon["res_B"]) > monitor_tol:
                     accept = False
+                    status["rejected_monitor"] += 1
+            else:
+                status["rejected_error"] += 1
             if accept:
                 t += dt
                 y = y5
                 rejections = 0
+                status["steps_accepted"] += 1
             else:
                 rejections += 1
                 if rejections > 40:
-                    status = _stopped("step size collapsed under monitor rejections", t)
+                    _stopped(status, "step size collapsed under monitor rejections", t)
                     break
             # standard PI-free step update, with halving on rejection
             if err > 0:

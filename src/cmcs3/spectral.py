@@ -14,7 +14,7 @@ integer invariant counting double points.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -109,8 +109,18 @@ class SpectralData:
 
     @cached_property
     def branch_points(self):
-        """Roots of (kappa^2+1)a(kappa) with multiplicities."""
-        return tuple(la.find_roots(self.p_coeffs))
+        """Roots of (kappa^2+1)a(kappa) with multiplicities, sorted by (Re, Im):
+        the roots of a and +-i; a root of a within _MERGE_TOL of +-i gains one
+        multiplicity instead, as find_roots would merge them."""
+        out = list(self.a_roots)
+        for s in (1j, -1j):
+            k = next((k for k, r in enumerate(out)
+                      if abs(r.value - s) <= la._MERGE_TOL * max(1.0, abs(r.value))), None)
+            if k is None:
+                out.append(la.Root(value=s, multiplicity=1, is_real=False))
+            else:
+                out[k] = replace(out[k], multiplicity=out[k].multiplicity + 1)
+        return tuple(sorted(out, key=lambda r: (r.value.real, r.value.imag)))
 
     @cached_property
     def obstacles(self):

@@ -172,7 +172,7 @@ def test_09_flow_invariance(rng, revolution_quarter):
     c = la.RealPolynomial(coeffs)
     traj, status = flow.flow_integrate(
         data,
-        lambda d: c,
+        lambda d, t: c,
         0.1,
         dt0=2e-3,
         monitor_tol=1e-6,

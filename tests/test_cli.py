@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cmcs3 import cli, families, spectral as sp
+from cmcs3 import cli, families, flow, spectral as sp
 
 
 def run(argv):
@@ -432,3 +432,47 @@ def test_surface_xi_file_checks(tmp_path):
     assert code_for(not_traceless) == cli.EXIT_CHECK_FAILED
     assert code_for(not_triangular) == cli.EXIT_CHECK_FAILED
     assert code_for(wrong_shape) == cli.EXIT_SCHEMA
+
+
+def _target_flow(tmp_path, H, alpha, index, t_final, samples="2"):
+    out, final = str(tmp_path / "traj.csv"), str(tmp_path / "final.json")
+    code = run(
+        [
+            "flow", "--family", "revolution", "--H", str(H), "--alpha", str(alpha),
+            "--target-branch", str(index), "--t-final", str(t_final), "--samples", samples,
+            "--out", out, "--final-json", final,
+        ]
+    )
+    with open(final) as fh:
+        return code, out, json.load(fh)
+
+
+def test_flow_target_branch_moves_delta_by_t_final(tmp_path):
+    # the deform oracle: Delta at the root of b moves by exactly t_final
+    start, _ = families.revolution_family(families.RevolutionParams(0.5, 0.3))
+    code, _, fin = _target_flow(tmp_path, 0.5, 0.3, 0, 0.02)
+    assert code == cli.EXIT_OK and fin["completed"] is True
+    end = sp.SpectralData.from_json(fin["data"])
+    moved = [sp.delta(d, flow.b_root_basis(d)[0].value).real for d in (start, end)]
+    assert abs(moved[1] - moved[0] - 0.02) < 1e-6
+
+
+def test_flow_target_branch_out_of_range_stops(tmp_path, capsys):
+    code, out, fin = _target_flow(tmp_path, 0.0, 0.25, 3, 0.01)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "stopped: root index 3 out of range" in capsys.readouterr().out
+    assert fin["completed"] is False and fin["rhs_evals"] == 1
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("t,a0") and len(lines) == 2  # the state at t = 0
+
+
+def test_flow_error_estimate_lets_exact_steps_grow(tmp_path):
+    # the stage rates of the target driver agree to about an ulp of y, so
+    # y5 - y4 rounds to 0; the estimate dt (E @ rates) does not, and dt grows
+    # 1e-3 -> 4e-3 -> the remaining 5e-3
+    code, _, fin = _target_flow(tmp_path, 0.7, 0.4, 0, 0.01)
+    assert code == cli.EXIT_OK
+    assert {k: fin[k] for k in ("rhs_evals", "steps_accepted", "rejected_error",
+                                "rejected_monitor")} == {
+        "rhs_evals": 21, "steps_accepted": 3, "rejected_error": 0, "rejected_monitor": 0}

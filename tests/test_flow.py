@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from cmcs3 import families, flow, loop_algebra as la, spectral as sp
+from cmcs3 import cli, families, flow, loop_algebra as la, spectral as sp
 from cmcs3.errors import ConditioningError, PreconditionError
 
 
@@ -108,7 +109,7 @@ def test_delta_dot_finite_difference(revolution_quarter):
 
 def test_flow_zero_field_is_stationary(revolution_quarter):
     traj, status = flow.flow_integrate(
-        revolution_quarter, lambda d: _poly(0.0), 0.01, dt0=5e-3
+        revolution_quarter, lambda d, t: _poly(0.0), 0.01, dt0=5e-3
     )
     assert status["completed"]
     final = traj[-1].data
@@ -122,7 +123,7 @@ def test_flow_preserves_conditions(revolution_quarter):
     c_small = la.RealPolynomial(scale * c.coeffs)
     traj, status = flow.flow_integrate(
         revolution_quarter,
-        lambda d: c_small,
+        lambda d, t: c_small,
         0.02,
         dt0=5e-3,
         monitor_tol=1e-6,
@@ -149,7 +150,7 @@ def test_flow_reuses_step_monitors(revolution_quarter, monkeypatch):
 
     monkeypatch.setattr(flow, "_monitors", counting)
     traj, status = flow.flow_integrate(
-        revolution_quarter, lambda d: c_small, 0.01, dt0=5e-3, sample_times=[0.005]
+        revolution_quarter, lambda d, t: c_small, 0.01, dt0=5e-3, sample_times=[0.005]
     )
     assert status["completed"] and len(traj) == 3
     assert len(seen) >= 3
@@ -169,23 +170,27 @@ def test_flow_stops_after_repeated_monitor_rejections(revolution_quarter, monkey
         return {"res_C0": worst, "res_C1": worst, "res_B": worst}
 
     monkeypatch.setattr(flow, "_monitors", rejecting)
-    traj, status = flow.flow_integrate(revolution_quarter, lambda d: _poly(0.0), 0.01)
+    traj, status = flow.flow_integrate(revolution_quarter, lambda d, t: _poly(0.0), 0.01)
     assert status == {
         "completed": False,
         "reason": "step size collapsed under monitor rejections",
         "t_reached": 0.0,
+        "rhs_evals": 41 * 7,
+        "steps_accepted": 0,
+        "rejected_error": 0,
+        "rejected_monitor": 41,
     }
     assert len(traj) == 1 and len(calls) == 42
 
 
 def test_flow_rejects_nonpositive_time(revolution_quarter):
     with pytest.raises(PreconditionError):
-        flow.flow_integrate(revolution_quarter, lambda d: _poly(0.0), 0.0)
+        flow.flow_integrate(revolution_quarter, lambda d, t: _poly(0.0), 0.0)
 
 
 def test_trajectory_csv(revolution_quarter, tmp_path):
     traj, status = flow.flow_integrate(
-        revolution_quarter, lambda d: _poly(0.0), 0.01, dt0=5e-3
+        revolution_quarter, lambda d, t: _poly(0.0), 0.01, dt0=5e-3
     )
     path = str(tmp_path / "traj.csv")
     flow.trajectory_to_csv(traj, path)
@@ -195,3 +200,70 @@ def test_trajectory_csv(revolution_quarter, tmp_path):
     assert lines[0].startswith("t,a0")
     assert len(lines[0].split(",")) == 1 + (2 * g + 1) + (g + 2) + 6
     assert len(lines) == 1 + len(traj)
+
+
+def _recording_find_roots(monkeypatch):
+    """Record (caller name, caller's self) of every la.find_roots call."""
+    find_roots, calls = la.find_roots, []
+
+    def recording(p):
+        caller = sys._getframe(1)
+        calls.append((caller.f_code.co_name, caller.f_locals.get("self")))
+        return find_roots(p)
+
+    monkeypatch.setattr(la, "find_roots", recording)
+    return calls
+
+
+def test_branch_target_flow_counts(monkeypatch):
+    # ln mu once at t = 0 (the anchor of Delta(beta(t)) = Delta0 + t) and twice
+    # per monitor evaluation; each stage solves only b, and (k^2+1)a never
+    data, _ = families.revolution_family(families.RevolutionParams(0.7, 0.4))
+    lnmu_at, monitors = sp.lnmu_at, flow._monitors
+    n_lnmu, n_mon = [], []
+    monkeypatch.setattr(sp, "lnmu_at", lambda *a: n_lnmu.append(1) or lnmu_at(*a))
+    monkeypatch.setattr(flow, "_monitors", lambda d: n_mon.append(1) or monitors(d))
+    roots = _recording_find_roots(monkeypatch)
+    traj, status = flow.flow_integrate(
+        data, flow.branch_target_supplier(data, 0), 0.01, sample_times=[0.005]
+    )
+    assert status["completed"] and status["steps_accepted"] == 3
+    assert len(n_mon) == 1 + status["steps_accepted"]
+    assert len(n_lnmu) == 1 + 2 * len(n_mon)
+    names = [name for name, _ in roots]
+    assert set(names) == {"a_roots", "b_roots"}
+    assert names.count("b_roots") == 1 + status["rhs_evals"]  # the anchor's curve, each stage
+    assert names.count("a_roots") == len(n_mon)
+
+
+def test_each_curve_solves_a_once(monkeypatch, tmp_path):
+    roots = _recording_find_roots(monkeypatch)
+    base = ["--family", "revolution", "--H", "0.3", "--alpha", "0.3"]
+    assert cli.main(["check", *base]) == cli.EXIT_OK
+    assert cli.main(["delta", *base, "--samples", "21", "--out", str(tmp_path / "d.csv")]) == 0
+    assert cli.main(["flow", *base, "--target-branch", "0", "--t-final", "0.005",
+                     "--samples", "1", "--out", str(tmp_path / "t.csv")]) == cli.EXIT_OK
+    solved = [owner for name, owner in roots if name == "a_roots"]
+    assert solved and all(isinstance(d, sp.SpectralData) for d in solved)
+    assert len({id(d) for d in solved}) == len(solved)
+    assert {name for name, _ in roots} <= {"a_roots", "b_roots"}
+
+
+def test_branch_points_are_the_roots_of_a_and_pm_i(rng):
+    # the roots find_roots gives for (k^2+1)a, up to the order of +-i, which
+    # find_roots takes from the rounding in their real parts
+    def curve(roots):
+        a = np.polynomial.polynomial.polyfromroots(roots).real
+        return sp.SpectralData(la.RealPolynomial(a), _poly(1.0), 1.5, -0.5)
+
+    pairs = rng.uniform(-2, 2, (4, 2)) + 1j * rng.uniform(0.2, 2, (4, 2))
+    curves = [curve(np.concatenate([z, z.conj()])) for z in pairs]
+    curves += [curve([-0.5, 0.8]), curve([1.0, 1.0]), curve([0.5j, -0.5j, 1j, -1j])]
+    for data in curves:
+        want = sorted(la.find_roots(data.p_coeffs), key=lambda r: sp.plane_key(r.value))
+        got = sorted(data.branch_points, key=lambda r: sp.plane_key(r.value))
+        assert [(r.multiplicity, r.is_real) for r in got] == [
+            (r.multiplicity, r.is_real) for r in want]
+        assert np.allclose([r.value for r in got], [r.value for r in want], atol=1e-9)
+    nodes = sorted(curves[-1].branch_points, key=lambda r: sp.plane_key(r.value))
+    assert [r.multiplicity for r in nodes] == [2, 1, 1, 2]  # -i, -i/2, i/2, i
