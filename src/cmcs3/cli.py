@@ -212,20 +212,22 @@ def _branch_json(branch):
     ]
 
 
+def _window(args, finite):
+    """--window as (lo, hi), checked before any computation: lo < hi (NaN
+    fails it) and, with finite set, no infinite end; else exit 3."""
+    lo, hi = args.window
+    if not lo < hi or (finite and not np.isfinite(args.window).all()):
+        raise _SchemaError("window must satisfy lo < hi" + (" with finite ends" if finite else ""))
+    return lo, hi
+
+
 def cmd_check(args):
+    window = _window(args, finite=False)
     data = _load_spectral_data(args)
     report = sp.check_conditions(data, tol=args.tol)
-    branch = sp.real_branch_points(data, window=tuple(args.window))
+    branch = sp.real_branch_points(data, window=window)
     g_val, g_details = sp.g_invariant(data)
-    out = {
-        "A": report["A"],
-        "B": report["B"],
-        "C": report["C"],
-        "residuals": report["residuals"],
-        "branch_points": _branch_json(branch),
-        "G": g_val,
-        "G_details": g_details,
-    }
+    out = {**report, "branch_points": _branch_json(branch), "G": g_val, "G_details": g_details}
     if args.out:
         _write_json(args.out, out)
     ok = report["A"] and report["B"]["pass"] and report["C"]["pass"]
@@ -304,14 +306,13 @@ def cmd_flow(args):
 
 
 def cmd_delta(args):
+    lo, hi = _window(args, finite=True)
     data = _load_spectral_data(args)
-    lo, hi = args.window
-    if not lo < hi:
-        raise _SchemaError("window must satisfy lo < hi")
-    # the branch report checks a > 0 on the window: fail before the scan and write nothing
-    branch = sp.real_branch_points(data, window=(lo, hi))
     kappas = np.linspace(lo, hi, args.samples)
-    deltas = sp.delta_scan(data, kappas).real
+    # one walk over [lo, hi] (hi added for --samples 1), anchored at lo; it
+    # checks a > 0 before any ln mu, so a failing window writes nothing
+    deltas, branch = sp.delta_scan(data, np.append(kappas, hi))
+    deltas = deltas[:-1].real
     flags = np.abs(deltas) <= 2.0 + args.tol
     all_in_range = bool(flags.all())
     lines = ["kappa,delta,abs_le_2"] + [

@@ -588,15 +588,8 @@ def closing_residuals(data, period_tol):
 
 def check_conditions(data, tol=1e-8):
     """Verdicts on the three closing conditions, with residuals."""
-    # A: nonnegativity of a on the real axis.
-    roots = data.a_roots
-    even_ok = all(r.multiplicity % 2 == 0 for r in roots if r.is_real)
-    span = max([10.0] + [2.0 * abs(r.value) for r in roots])
-    samples = np.linspace(-span, span, 1000)
-    vals = data.a(samples)
-    scale = max(np.max(np.abs(vals)), 1.0)
-    positive_ok = bool(np.min(vals) > -1e-9 * scale)
-    pass_a = bool(even_ok and positive_ok)
+    # A: a >= 0 on the real axis; a is monic of even degree: no odd real root.
+    pass_a = all(r.multiplicity % 2 == 0 for r in data.a_roots if r.is_real)
 
     # B: periods of d ln mu in 2 pi i Z; C: mu = +-1 at the marked points.
     res = closing_residuals(data, 1e-10)
@@ -623,18 +616,19 @@ def delta(data, kappa):
 
 
 def delta_scan(data, kappas):
-    """Delta at real kappas, in any order, with a > 0 between them.
+    """(Delta at real kappas, in any order, with a > 0 between them, and the
+    real_branch_points of [min kappas, max kappas]) off one _branch_report walk.
 
-    ln mu is taken once, at kappas[0], and continued by _theta_walk on the
-    positive branch nu > 0, where d ln mu = i dtheta needs no sheet tracking.
-    This path and lnmu_at's own differ by a closed loop, whose integral lies
-    in 2 pi i Z when condition B holds, so Delta is the same.
+    ln mu is taken once, at kappas[0]; theta at a sample is theta at the left
+    edge of its cell plus one GL16 sum.  On the positive branch nu > 0,
+    d ln mu = i dtheta; this path and lnmu_at's own differ by a closed loop,
+    whose integral lies in 2 pi i Z when condition B holds, so Delta is the same.
     """
     ts = np.arctan(kappas)
-    edges, theta = _theta_walk(data, np.unique(ts))
-    lnmu0, _ = lnmu_at(data, kappas[0])
-    theta = theta[np.searchsorted(edges, ts)] - theta[np.searchsorted(edges, ts[0])]
-    return 2.0 * np.cosh(lnmu0 + 1j * theta)
+    report, (edges, theta, lnmu0) = _branch_report(data, np.min(kappas), np.max(kappas), kappas[0])
+    cell = np.maximum(np.searchsorted(edges, ts, side="right") - 1, 0)
+    theta = theta[cell] + _theta_increments(data, edges[cell], ts)
+    return 2.0 * np.cosh(lnmu0.real + 1j * theta), report
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +740,8 @@ def _kappa_err(data, ts):
 
 
 def _branch_report(data, lo, hi, anchor):
-    """real_branch_points on [lo, hi], theta anchored by lnmu_at(anchor).
+    """(real_branch_points on [lo, hi], its walk (edges, theta, ln mu at the
+    anchor)), theta anchored by lnmu_at(anchor).
 
     lo, hi = -inf, inf walk the whole circle and enter kappa = infinity, both
     ends of the walk, as a root of b of multiplicity g+1-deg b.  A point on a
@@ -756,7 +751,8 @@ def _branch_report(data, lo, hi, anchor):
     roots = [r for r in data.b_roots if r.is_real and lo <= r.value.real <= hi]
     t_roots = np.arctan([r.value.real for r in roots])
     edges, theta = _theta_walk(data, np.unique(np.r_[np.arctan([lo, hi, anchor]), t_roots]))
-    theta += lnmu_at(data, anchor)[0].imag - theta[np.searchsorted(edges, np.arctan(anchor))]
+    lnmu0 = lnmu_at(data, anchor)[0]
+    theta += lnmu0.imag - theta[np.searchsorted(edges, np.arctan(anchor))]
     crossings = _level_crossings(data, edges, theta)
     points = [(r.value.real, r.multiplicity, [np.searchsorted(edges, t)])
               for r, t in zip(roots, t_roots)]
@@ -777,7 +773,7 @@ def _branch_report(data, lo, hi, anchor):
     entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point", err)
                for (t, level), err in zip(crossings, errs)] + entries
     entries.sort(key=lambda e: e.kappa.real)
-    return entries
+    return entries, (edges, theta, lnmu0)
 
 
 def real_branch_points(data, window=(-10.0, 10.0)):
@@ -791,7 +787,7 @@ def real_branch_points(data, window=(-10.0, 10.0)):
     cell.  Requires a > 0 on the window (no real nodes).
     """
     lo, hi = float(window[0]), float(window[1])
-    return _branch_report(data, lo, hi, lo)
+    return _branch_report(data, lo, hi, lo)[0]
 
 
 def g_invariant(data):
@@ -809,7 +805,7 @@ def g_invariant(data):
             continue
         on_branch = any(abs(root.value - v) < 1e-8 for v in data.obstacles)
         nonreal_curve_points += root.multiplicity * (1 if on_branch else 2)
-    report = _branch_report(data, -math.inf, math.inf, 0.0)
+    report, _ = _branch_report(data, -math.inf, math.inf, 0.0)
     doubles = [e for e in report if e.kind in ("double_point", "both")]
     g_val = nonreal_curve_points // 2 + len(doubles) - 1
     details = {

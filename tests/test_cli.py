@@ -172,16 +172,53 @@ def test_delta_bad_window(tmp_path):
     assert code == cli.EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--window", "5", "-5"],
+    ["check", "--window", "1", "1"],
+    ["check", "--window", "3", "nan"],
+    ["check", "--window", "nan", "3"],
+    ["check", "--window", "inf", "inf"],
+    ["delta", "--window", "5", "-5"],
+    ["delta", "--window", "3", "nan"],
+    ["delta", "--window", "0", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_window_exits_schema_before_any_computation(tmp_path, capsys, monkeypatch, argv):
+    # lo >= hi and NaN fail both commands; an infinite end fails delta, whose
+    # samples it would make NaN.  The check runs before the data is built.
+    built = []
+    monkeypatch.setattr(families, "revolution_family", lambda *args: built.append(args))
+    out = tmp_path / "out"
+    code = run(argv + ["--family", "revolution", "--H", "0.5", "--alpha", "0.25", "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "window must satisfy lo < hi" in err and "Traceback" not in err
+    assert not built and not out.exists()
+
+
+def test_check_window_to_infinity(tmp_path):
+    # an infinite end is fine for check: the walk enters kappa = infinity
+    # as a root of b of multiplicity g + 1 - deg b = 1; the one double point
+    # in [0, inf] is the positive marked point
+    out = tmp_path / "report.json"
+    argv = ["check", "--family", "revolution", "--H", "0.5", "--alpha", "0.25", "--window", "0", "inf"]
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_OK
+    entries = json.loads(out.read_text())["branch_points"]
+    assert [e["kind"] for e in entries] == ["b_root", "double_point", "b_root"]
+    assert entries[0]["kappa"] == 0.0 and entries[-1]["kappa"] == math.inf
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    assert abs(entries[1]["kappa"] - max(data.kappa0, data.kappa1)) < 1e-6
+
+
 def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatch):
-    # a = k^2 - 1/4 < 0 between its roots +-1/2, so the branch report fails,
-    # before any Delta value; the 241-sample grid lands on k = 1/2, the base
-    # branch point, which must not be what the error names
+    # a = k^2 - 1/4 < 0 between its roots +-1/2, so the walk fails before
+    # any ln mu and any Delta value; the 241-sample grid lands on k = 1/2,
+    # the base branch point, which must not be what the error names
     path = str(tmp_path / "data.json")
     with open(path, "w") as fh:
         json.dump({"a": [-0.25, 0, 1], "b": [0, 0.5], "kappa0": 2, "kappa1": -2}, fh)
-    scanned = []
-    monkeypatch.setattr(sp, "delta", lambda *args: scanned.append(args))
-    monkeypatch.setattr(sp, "delta_scan", lambda *args: scanned.append(args))
+    called = []
+    monkeypatch.setattr(sp, "delta", lambda *args: called.append(args))
+    monkeypatch.setattr(sp, "lnmu_at", lambda *args: called.append(args))
     out, rep = tmp_path / "delta.csv", tmp_path / "delta.json"
     for samples in ("40", "241"):
         argv = ["delta", path, "--window", "-3", "3", "--samples", samples]
@@ -189,7 +226,7 @@ def test_delta_failing_branch_report_writes_nothing(tmp_path, capsys, monkeypatc
         assert code == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         assert "a has real zeros" in err and "Traceback" not in err
-        assert not scanned
+        assert not called
         assert sorted(os.listdir(tmp_path)) == ["data.json"]
 
 
@@ -217,10 +254,11 @@ def test_delta_close_real_roots_of_a_exit_schema(tmp_path, capsys, monkeypatch, 
 
 
 def test_delta_cost_does_not_grow_with_samples(tmp_path, monkeypatch):
-    # timing-free guard of the scan: ln mu is taken once per window and
-    # continued along the real axis, so a delta run makes as many lnmu_at and
-    # integrate_dlnmu calls at 41 samples as at 241, and never calls sp.delta
-    calls = []
+    # timing-free guard of the scan: the CSV and the branch report come off
+    # one theta walk over the window's ends and the roots of b, anchored by
+    # one lnmu_at, so a delta run walks the same cells and makes the same
+    # calls at 1, 41 and 241 samples, and never calls sp.delta
+    calls, walks = [], []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -230,9 +268,11 @@ def test_delta_cost_does_not_grow_with_samples(tmp_path, monkeypatch):
 
     for name in ("lnmu_at", "integrate_dlnmu", "delta"):
         monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    theta_walk = sp._theta_walk
+    monkeypatch.setattr(sp, "_theta_walk", lambda *args: walks.append(theta_walk(*args)) or walks[-1])
     counts = []
     rep = tmp_path / "delta.json"
-    for samples in ("41", "241"):
+    for samples in ("1", "41", "241"):
         calls.clear()
         argv = ["delta", "--family", "revolution", "--H", "0.5", "--alpha", "0.25",
                 "--window", "-3", "3", "--samples", samples]
@@ -240,7 +280,9 @@ def test_delta_cost_does_not_grow_with_samples(tmp_path, monkeypatch):
         assert "delta" not in calls
         counts.append((calls.count("lnmu_at"), calls.count("integrate_dlnmu")))
         assert json.loads(rep.read_text())["condition_F"] is True
-    assert counts[0] == counts[1]
+    assert counts == [(1, counts[0][1])] * 3
+    assert len(walks) == 3 and all(np.array_equal(w[0], walks[0][0]) for w in walks)
+    assert np.allclose(np.tan(walks[0][0][[0, -1]]), [-3.0, 3.0])
 
 
 @pytest.mark.parametrize(

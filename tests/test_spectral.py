@@ -116,6 +116,17 @@ def test_check_conditions_failure():
     assert not rep["C"]["pass"]
 
 
+@pytest.mark.parametrize("roots,want", [
+    ([1.0, 1.2, 0.5j, -0.5j], False),  # a < 0 between the simple real roots 1 and 1.2
+    ([1.0, 1.0, 0.5j, -0.5j], True),  # a real node: a >= 0, touching 0 at 1
+], ids=["simple-real-roots", "real-node"])
+def test_condition_a_from_the_roots_of_a(roots, want):
+    # A holds when no real root of the monic, even-degree a has odd multiplicity
+    a = np.polynomial.polynomial.polyfromroots(roots).real
+    data = sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(np.array([0.0, 0.5])), 2.0, -2.0)
+    assert sp.check_conditions(data)["A"] is want
+
+
 def test_delta_clifford(clifford_data):
     assert abs(sp.delta(clifford_data, 0.0) - 2.0) < 1e-10
     assert abs(sp.delta(clifford_data, 1.0) + 2.0) < 1e-10
@@ -1154,7 +1165,7 @@ _SCAN_CURVES = {
 
 
 def _assert_scan_matches_delta(data, kappas):
-    got = sp.delta_scan(data, kappas)
+    got, _ = sp.delta_scan(data, kappas)
     assert got.shape == (len(kappas),)
     for kappa, d in zip(kappas, got):
         want = sp.delta(data, kappa)
@@ -1181,7 +1192,7 @@ def test_delta_scan_rotational_closed_form(alpha, phi):
         data = sp.mobius_transform_data(data, phi)
     c, s = math.cos(phi), math.sin(phi)
     kappas = np.linspace(-3.0, 3.0, 241)
-    for kappa, d in zip(kappas, sp.delta_scan(data, kappas)):
+    for kappa, d in zip(kappas, sp.delta_scan(data, kappas)[0]):
         assert abs(d - _rotational_delta((c * kappa + s) / (c - s * kappa), alpha, b2)) < 1e-9
 
 
@@ -1191,15 +1202,25 @@ def test_delta_scan_in_any_order():
     kappas = np.array([1.3, -2.0, 2.7, 0.4, -0.9])
     _assert_scan_matches_delta(data, kappas)
     order = np.argsort(kappas)
-    assert np.allclose(sp.delta_scan(data, kappas[order]), sp.delta_scan(data, kappas)[order],
+    assert np.allclose(sp.delta_scan(data, kappas[order])[0], sp.delta_scan(data, kappas)[0][order],
                        rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CURVES))
+def test_delta_scan_reports_the_branch_points_of_its_window(name):
+    # anchored at the window's left end, the scan's report is the window's
+    # real_branch_points, whatever the samples in between
+    data = _SCAN_CURVES[name]()
+    want = sp.real_branch_points(data, window=(-3.0, 3.0))
+    for kappas in (np.linspace(-3.0, 3.0, 41), np.array([-3.0, 0.7, 3.0, 1.9])):
+        assert sp.delta_scan(data, kappas)[1] == want
 
 
 def test_delta_scan_past_depth_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
     # the walk runs before any lnmu_at, so a zero depth cap meets it first:
     # on revolution (0.5, 0.05) the branch points +-0.22i sit 0.23 off the
-    # real t-axis, and GL16 fails on the one cell over [-2, 3] as on the two
-    # cells of the branch report, split at the root 0 of b
+    # real t-axis, and GL16 fails on the two cells over [-2, 3], split at
+    # the root 0 of b
     monkeypatch.setattr(sp, "_DEPTH_CAP", 0)
     data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.05))
     with pytest.raises(ConvergenceError) as exc:
