@@ -214,10 +214,11 @@ def _branch_json(branch):
 
 def _window(args, finite):
     """--window as (lo, hi), checked before any computation: lo < hi (NaN
-    fails it) and, with finite set, no infinite end; else exit 3."""
+    fails it), lo finite (ln mu is anchored there) and, with finite set, hi
+    finite too; else exit 3."""
     lo, hi = args.window
-    if not lo < hi or (finite and not np.isfinite(args.window).all()):
-        raise _SchemaError("window must satisfy lo < hi" + (" with finite ends" if finite else ""))
+    if not (lo < hi and math.isfinite(lo) and (math.isfinite(hi) or not finite)):
+        raise _SchemaError("window must satisfy lo < hi with a finite lo" + (" and hi" if finite else ""))
     return lo, hi
 
 
@@ -256,7 +257,9 @@ def _c_supplier_from_args(args, data):
     try:
         coeffs = np.array([float(x) for x in args.c.split(",")])
     except ValueError:
-        raise _SchemaError(f"--c must be zero, mobius, or comma-separated coefficients; got {args.c!r}")
+        coeffs = None
+    if coeffs is None or not np.isfinite(coeffs).all():
+        raise _SchemaError(f"--c must be zero, mobius, or comma-separated finite coefficients; got {args.c!r}")
     if len(coeffs) > data.g + 2:
         raise _SchemaError(f"c has degree > g+1 = {data.g + 1}")
     c = la.RealPolynomial(coeffs)
@@ -368,6 +371,14 @@ def _count_at_least(least):
     return count
 
 
+def _finite_positive(text):
+    """argparse type of a tolerance or time: a finite float > 0 (exit 3)."""
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return x
+
+
 def _add_data_source(p):
     p.add_argument("data", nargs="?", help="SpectralData JSON file")
     p.add_argument("--family", choices=["revolution", "clifford"], help="named family instead of a file")
@@ -399,13 +410,13 @@ def build_parser():
     ps.add_argument("--stitch-x", action="store_true", help="close the mesh in x")
     ps.add_argument("--stitch-y", action="store_true", help="close the mesh in y")
     ps.add_argument("--pole", type=float, nargs=4, help="stereographic pole in R^4")
-    ps.add_argument("--tol-geom", type=float, default=0.02, help="relative geometry tolerance")
-    ps.add_argument("--tol-period", type=float, default=1e-6)
+    ps.add_argument("--tol-geom", type=_finite_positive, default=0.02, help="relative geometry tolerance")
+    ps.add_argument("--tol-period", type=_finite_positive, default=1e-6)
     ps.set_defaults(fn=cmd_surface)
 
     pc = sub.add_parser("check", help="verify the closing conditions of spectral data")
     _add_data_source(pc)
-    pc.add_argument("--tol", type=float, default=1e-8)
+    pc.add_argument("--tol", type=_finite_positive, default=1e-8)
     pc.add_argument("--window", type=float, nargs=2, default=[-10.0, 10.0])
     pc.add_argument("--out", help="JSON report path")
     pc.set_defaults(fn=cmd_check)
@@ -414,10 +425,10 @@ def build_parser():
     _add_data_source(pf)
     pf.add_argument("--c", default="zero", help="zero | mobius | comma-separated coefficients")
     pf.add_argument("--target-branch", type=int, help="index of the b-root to move at unit rate")
-    pf.add_argument("--t-final", type=float, default=0.1)
-    pf.add_argument("--dt0", type=float, default=1e-3)
-    pf.add_argument("--rtol", type=float, default=1e-8)
-    pf.add_argument("--monitor-tol", type=float, default=1e-6)
+    pf.add_argument("--t-final", type=_finite_positive, default=0.1)
+    pf.add_argument("--dt0", type=_finite_positive, default=1e-3)
+    pf.add_argument("--rtol", type=_finite_positive, default=1e-8)
+    pf.add_argument("--monitor-tol", type=_finite_positive, default=1e-6)
     pf.add_argument("--samples", type=_count_at_least(0), default=10, help="number of trajectory rows after t=0")
     pf.add_argument("--out", default="trajectory.csv")
     pf.add_argument("--final-json", help="write the final state as JSON")
@@ -427,7 +438,7 @@ def build_parser():
     _add_data_source(pd)
     pd.add_argument("--window", type=float, nargs=2, default=[-3.0, 3.0])
     pd.add_argument("--samples", type=_count_at_least(1), default=241)
-    pd.add_argument("--tol", type=float, default=1e-8)
+    pd.add_argument("--tol", type=_finite_positive, default=1e-8)
     pd.add_argument("--out", default="delta.csv")
     pd.add_argument("--report", help="JSON branch report path")
     pd.set_defaults(fn=cmd_delta)

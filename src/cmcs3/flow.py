@@ -291,7 +291,7 @@ def flow_integrate(
     counts the right-hand sides, the accepted steps and the steps rejected by
     the error estimate and by the monitors.
     """
-    if t_final <= 0:
+    if not t_final > 0:  # NaN too
         raise PreconditionError("t_final must be positive")
     g = data.g
     if sample_times is None:

@@ -31,6 +31,7 @@ from .errors import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _TWO_PI_I = 2j * np.pi
 _LNMU_TOL = 1e-10  # quadrature tolerance of ln mu at a point (lnmu_at, delta, _theta_walk)
+_EXACT_TOL = 1e-12  # relative residual below which _closed_form takes d ln mu as exact
 _DEPTH_CAP = 26  # bisection levels of an adaptive quadrature before ConvergenceError
 _BRANCH_TOL = 1e-8  # |theta - pi L| below which a real root of b is a double point too
 _AT_TWO_TOL = 1e-6  # ||Delta| - 2| that weighted_genus counts as Delta = +-2
@@ -148,7 +149,7 @@ class SpectralData:
 
     @cached_property
     def closed_form(self):
-        """(r, q) of the closed form of ln mu (see _closed_form), or None."""
+        """u of the closed form ln mu = 2 pi i u/nu (see _closed_form), or None."""
         return _closed_form(self)
 
     def to_json(self):
@@ -274,8 +275,8 @@ def _adaptive(integrand, lo, hi, tol, root=None, r_from=None, label="quadrature"
     return np.array((lo, mid)).T.ravel(), gains.T.ravel(), r_end
 
 
-def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
-    """Integrate d ln mu along a polyline on the curve.
+def integrate_dlnmu(data, path, nu_start=None):
+    """Integrate d ln mu along a polyline on the curve, to _LNMU_TOL.
 
     Returns (integral, nu at the end of the path).  The starting sheet is the
     principal square root at path[0] unless nu_start pins it down.  Segment k
@@ -292,7 +293,7 @@ def integrate_dlnmu(data, path, nu_start=None, tol=1e-10):
         velocity = steps[np.minimum(u.astype(int), len(steps) - 1)]
         return data.dlnmu(np.interp(u, ks, path), nus) * velocity
 
-    _, gains, nu_end = _adaptive(dlnmu, ks[:-1], ks[1:], tol,
+    _, gains, nu_end = _adaptive(dlnmu, ks[:-1], ks[1:], _LNMU_TOL,
                                  root=lambda u: np.sqrt(data.p(np.interp(u, ks, path))), r_from=nu_start)
     return complex(gains.sum()), nu_end
 
@@ -330,8 +331,6 @@ def safe_path(data, start, end, depth=0):
     start, end = complex(start), complex(end)
     worst = None
     for o, gap in zip(data.obstacles, data.gaps):
-        if abs(o - start) < 1e-12 or abs(o - end) < 1e-12:
-            raise DomainError("path endpoint sits on a branch point")
         r = _detour_radius(gap)
         dist = _segment_distance(start, end, o)
         if dist < r and (worst is None or dist < worst[1]):
@@ -351,72 +350,54 @@ def safe_path(data, start, end, depth=0):
 
 
 # ---------------------------------------------------------------------------
-# The normalized ln mu: base point at a branch point, ln mu(base) = 0.
-
-
-def _even_square_root(data):
-    """q with q^2 = a when every root of a has even multiplicity, else None.
-
-    A conjugate pair gives the real factor k^2 - 2 Re(r) k + |r|^2 of its root
-    r in the upper half plane.
-    """
-    roots = data.a_roots
-    if any(r.multiplicity % 2 for r in roots):
-        return None
-    q = np.array([1.0 + 0.0j])
-    for r in roots:
-        if r.value.imag < 0:
-            continue  # the factor of its conjugate covers it
-        factor = [-r.value, 1.0] if r.is_real else [abs(r.value) ** 2, -2.0 * r.value.real, 1.0]
-        for _ in range(r.multiplicity // 2):
-            q = npoly.polymul(q, factor)
-    if np.max(np.abs(q.imag)) > 1e-9 * np.max(np.abs(q)):
-        return None
-    return la.RealPolynomial(q.real)
+# The normalized ln mu: 0 at the branch points, in closed form or from the base.
 
 
 def _closed_form(data):
-    """(r, q) with ln mu = 2 pi i r(kappa)/w, nu = q w, w = sqrt(kappa^2+1).
+    """u with ln mu = 2 pi i u(kappa)/nu, or None: the least-squares solution
+    of u'p - u p'/2 = ab over deg u <= g+1, p = (kappa^2+1)a, kept when its
+    residual is at most _EXACT_TOL relative to ab.
 
-    Exists when a = q^2 (no odd branch points besides +-i) and the rational
-    reduction r' (kappa^2+1) - r kappa = b/q has a polynomial solution.
+    d(u/nu) = (u'p - u p'/2)/(p nu) dkappa, so such a u makes d ln mu exact.
+    Conversely an exact d ln mu has a single-valued primitive, odd under the
+    sheet swap with poles only over +-i: 2 pi i u/nu with deg u <= g+1.  The
+    equation forces u = 0 at every root of a (so ln mu = 0 at the branch
+    points), and these rows join the solve: with roots of a near +-i, p is
+    nearly a square, and sqrt(p) nearly solves u'p = u p'/2 (on a = k^2 +
+    alpha the equation alone fixes ln mu only to ~eps/(1 - alpha)^2).  A root
+    of a at +-i (merged into +-i by branch_points) is left to the legs.
     """
-    q = _even_square_root(data)
-    if q is None:
+    if len(data.branch_points) < len(data.a_roots) + 2:
         return None
-    rhs, rem = npoly.polydiv(data.b.coeffs, q.coeffs)
-    if np.max(np.abs(rem)) > 1e-10 * max(np.max(np.abs(data.b.coeffs)), 1.0):
-        raise InconsistencyError(
-            "b is not divisible by sqrt(a): d ln mu has residues at the nodes "
-            "and no single-valued normalization exists"
-        )
-    d = len(rhs) - 1
-    n = d + 2
-    mat = np.zeros((n + 2, n), dtype=float)
-    for j in range(n):
-        # column j: coefficients of (kappa^j)' (kappa^2+1) - kappa^(j+1)
-        if j >= 1:
-            mat[j - 1, j] += j
-            mat[j + 1, j] += j
-        mat[j + 1, j] -= 1.0
-    rhs_vec = np.zeros(n + 2)
-    rhs_vec[: d + 1] = rhs.real
-    sol, *_ = np.linalg.lstsq(mat, rhs_vec, rcond=None)
-    if np.linalg.norm(mat @ sol - rhs_vec) > 1e-9 * max(np.linalg.norm(rhs_vec), 1.0):
-        raise InconsistencyError("closed-form reduction of ln mu failed")
-    return la.RealPolynomial(sol).trimmed(1e-12), q
+    p = data.p_coeffs
+    dp = npoly.polyder(p)
+    n = data.g + 2
+    mat = np.zeros((3 * n - 3, n))
+    for j in range(n):  # column j: coefficients of (kappa^j)' p - kappa^j p'/2
+        if j:
+            mat[j - 1: j - 1 + len(p), j] += j * p
+        mat[j: j + len(dp), j] -= 0.5 * dp
+    rhs = np.zeros(3 * n - 3)
+    ab = npoly.polymul(data.a.coeffs, data.b.coeffs)
+    rhs[: len(ab)] = ab
+    pins = np.vander(np.array([r.value for r in data.a_roots], dtype=complex), n, increasing=True)
+    sol, *_ = np.linalg.lstsq(np.vstack((mat, pins.real, pins.imag)),
+                              np.concatenate((rhs, np.zeros(2 * len(pins)))), rcond=None)
+    if np.linalg.norm(mat @ sol - rhs) > _EXACT_TOL * np.linalg.norm(rhs):
+        return None
+    return la.RealPolynomial(sol)
 
 
-def _integrate_base_leg(data, waypoint, tol):
+def _integrate_base_leg(data, waypoint):
     """ln mu increment from the base branch point to a nearby waypoint.
 
     Uses kappa = base + s^2 d, d = waypoint - base, which removes the
     square-root singularity: phi(s) = nu(kappa)/s = sqrt(d q(kappa)), with
     q = p/(kappa - base) by exact division, is analytic through s = 0, and
-    d ln mu = 2 pi i b 2d ds/((kappa^2+1) phi).  The sheet is seeded with the
-    principal root phi(0) = sqrt(d q(base)); the overall sign of ln mu is
-    fixed downstream (the base value is 0 on both sheets).  Returns the
-    increment and phi(1) = nu(waypoint).
+    d ln mu = 2 pi i b 2d ds/((kappa^2+1) phi), integrated to _LNMU_TOL.  The
+    sheet is seeded with the principal root phi(0) = sqrt(d q(base)); the
+    overall sign of ln mu is fixed downstream (the base value is 0 on both
+    sheets).  Returns the increment and phi(1) = nu(waypoint).
     """
     base, _, q = data.base_leg
     d = waypoint - base
@@ -428,39 +409,44 @@ def _integrate_base_leg(data, waypoint, tol):
         ks = base + ss * ss * d
         return 2.0 * _TWO_PI_I * d * data.b(ks) / ((ks * ks + 1.0) * phis)
 
-    _, gains, phi1 = _adaptive(dlnmu, np.zeros(1), np.ones(1), tol, root=phi)
+    _, gains, phi1 = _adaptive(dlnmu, np.zeros(1), np.ones(1), _LNMU_TOL, root=phi)
     return complex(gains.sum()), phi1
 
 
 def lnmu_at(data, kappa):
-    """ln mu at kappa with ln mu(base) = 0; returns (value, nu at kappa).
+    """ln mu at kappa, 0 at the base; returns (value, nu at kappa).
 
-    The base is the odd-multiplicity root of a with smallest |kappa| (the
+    kappa must be finite and more than 1e-12 from every branch point and
+    +-i, else DomainError, on both routes.  With the closed form u of
+    _closed_form, ln mu = 2 pi i u(kappa)/nu with nu = sqrt(p(kappa)), which
+    is 0 at every branch point.  Otherwise it is the base leg from the base,
+    the odd-multiplicity root of a with smallest |kappa|, plus a polyline (the
     differential is antisymmetric under the sheet swap, so ln mu lies in
     pi i Z at every branch point; any base gives the same mu(kappa_j) = +-1
-    verdict).  When a is a perfect square the closed form is used instead.
-    For real kappa the sheet is normalized so nu > 0.
+    verdict).  For real kappa the sheet is normalized so nu > 0.
     """
     kappa = complex(kappa)
-    cf = data.closed_form
-    if cf is not None:
-        r, q = cf
-        w = cmath.sqrt(kappa * kappa + 1.0)
-        val = _TWO_PI_I * complex(r(kappa)) / w
-        nu_val = complex(q(kappa)) * w
+    if not cmath.isfinite(kappa):
+        raise DomainError(f"ln mu needs a finite kappa, got {kappa}")
+    if any(abs(o - kappa) < 1e-12 for o in data.obstacles):
+        raise DomainError("path endpoint sits on a branch point")
+    u = data.closed_form
+    if u is not None:
+        nu_val = cmath.sqrt(complex(data.p(kappa)))
+        val = _TWO_PI_I * complex(u(kappa)) / nu_val
     else:
         if data.base_leg is None:
-            raise InconsistencyError("ln mu has neither a closed form nor an odd branch point")
+            raise InconsistencyError(
+                "ln mu has no closed form and a no odd root: b is not divisible by sqrt(a) "
+                "(d ln mu has residues at the nodes), or a vanishes at +-i"
+            )
         base, gap, _ = data.base_leg
         direction = kappa - base
-        if abs(direction) < 1e-12:
-            raise DomainError("target coincides with the base branch point")
         leg_len = min(0.45 * gap, abs(direction))
         waypoint = base + leg_len * direction / abs(direction)
-        val, nu_val = _integrate_base_leg(data, waypoint, _LNMU_TOL)
+        val, nu_val = _integrate_base_leg(data, waypoint)
         if abs(waypoint - kappa) > 1e-13:
-            path = safe_path(data, waypoint, kappa)
-            more, nu_val = integrate_dlnmu(data, path, nu_start=nu_val, tol=_LNMU_TOL)
+            more, nu_val = integrate_dlnmu(data, safe_path(data, waypoint, kappa), nu_start=nu_val)
             val += more
     if abs(kappa.imag) < 1e-12:
         if abs(nu_val.imag) < 1e-6 * max(abs(nu_val), 1.0) and nu_val.real < 0:
@@ -776,7 +762,7 @@ def _branch_report(data, lo, hi, anchor):
     return entries, (edges, theta, lnmu0)
 
 
-def real_branch_points(data, window=(-10.0, 10.0)):
+def real_branch_points(data, window):
     """Real zeros of Delta': roots of b plus real solutions of mu = +-1.
 
     Returns BranchEntry items sorted by kappa.  A real root beta of b of

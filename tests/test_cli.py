@@ -518,3 +518,83 @@ def test_flow_error_estimate_lets_exact_steps_grow(tmp_path):
     assert {k: fin[k] for k in ("rhs_evals", "steps_accepted", "rejected_error",
                                 "rejected_monitor")} == {
         "rhs_evals": 21, "steps_accepted": 3, "rejected_error": 0, "rejected_monitor": 0}
+
+
+def test_rotational_commands_make_no_lnmu_quadrature(tmp_path, monkeypatch):
+    # d ln mu is exact on rotational data, so check, delta and a flow monitor
+    # take every ln mu in closed form: neither leg of the quadrature runs
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("lnmu_at", "_integrate_base_leg", "integrate_dlnmu"):
+        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    base = ["--family", "revolution", "--H", "0.5", "--alpha", "0.25"]
+    assert run(["check", *base]) == cli.EXIT_OK
+    assert run(["delta", *base, "--out", str(tmp_path / "delta.csv")]) == cli.EXIT_OK
+    flow._monitors(sp.mobius_transform_data(families.revolution_family(
+        families.RevolutionParams(0.5, 0.25))[0], 0.15))
+    assert calls.count("lnmu_at") == 4 + 1 + 2 and set(calls) == {"lnmu_at"}
+
+
+def test_lnmu_on_a_branch_point_exits_schema(tmp_path, capsys):
+    # kappa0 = 1/2 is a root of a; d ln mu is exact (a = k^2 - 1/4, b = 5k/8),
+    # and the closed form keeps the entry rule of the legs
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"a": [-0.25, 0, 1], "b": [0, 0.625], "kappa0": 0.5, "kappa1": -2}))
+    assert sp.SpectralData.from_json(json.loads(path.read_text())).closed_form is not None
+    out = tmp_path / "out.json"
+    assert run(["check", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "path endpoint sits on a branch point" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--t-final", "nan"],
+    ["flow", "--t-final", "inf"],
+    ["flow", "--dt0", "0"],
+    ["flow", "--rtol", "0"],
+    ["flow", "--rtol", "-1"],
+    ["flow", "--monitor-tol", "nan"],
+    ["check", "--tol", "nan"],
+    ["delta", "--tol", "-0.5"],
+    ["surface", "--tol-geom", "inf"],
+    ["surface", "--tol-period", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_options_exit_schema_before_any_computation(tmp_path, capsys, monkeypatch, argv):
+    built = []
+    monkeypatch.setattr(families, "revolution_family", lambda *args: built.append(args))
+    monkeypatch.setattr(families, "delaunay_xi", lambda *args: built.append(args))
+    source = ["--family", "delaunay"] if argv[0] == "surface" else ["--family", "revolution"]
+    out = tmp_path / "out"
+    assert run(argv + source + ["--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be finite and positive" in err and "Traceback" not in err
+    assert not built and not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "1,inf"])
+def test_nonfinite_c_coefficients_exit_schema(tmp_path, capsys, recwarn, c):
+    out = tmp_path / "trajectory.csv"
+    assert run(["flow", "--family", "revolution", "--c", c, "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "finite coefficients" in err and "Traceback" not in err
+    assert not out.exists() and not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_check_window_from_minus_infinity_exits_schema(tmp_path, capsys, monkeypatch):
+    # ln mu is anchored at the lower end, so it must be finite; [0, inf] stays
+    # valid (test_check_window_to_infinity)
+    built = []
+    monkeypatch.setattr(families, "revolution_family", lambda *args: built.append(args))
+    out = tmp_path / "out.json"
+    argv = ["check", "--family", "revolution", "--window", " -inf", "0", "--out", str(out)]
+    assert run(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "window must satisfy lo < hi with a finite lo" in err and "Traceback" not in err
+    assert not built and not out.exists()

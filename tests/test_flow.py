@@ -267,3 +267,8 @@ def test_branch_points_are_the_roots_of_a_and_pm_i(rng):
         assert np.allclose([r.value for r in got], [r.value for r in want], atol=1e-9)
     nodes = sorted(curves[-1].branch_points, key=lambda r: sp.plane_key(r.value))
     assert [r.multiplicity for r in nodes] == [2, 1, 1, 2]  # -i, -i/2, i/2, i
+
+
+def test_flow_integrate_rejects_nan_t_final(revolution_quarter):
+    with pytest.raises(PreconditionError, match="t_final must be positive"):
+        flow.flow_integrate(revolution_quarter, lambda d, t: _poly(0.0), math.nan)

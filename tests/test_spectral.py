@@ -402,7 +402,9 @@ def _rotational_delta(kappa, alpha, b2):
 @pytest.mark.parametrize("phi", [0.0, 0.23])
 def test_delta_rotational_closed_form_on_leg_and_polyline(monkeypatch, phi):
     # Delta = 2 cos(2 pi b2 sqrt((k^2+alpha)/(k^2+1))) for the rotational data;
-    # the Moebius-moved copy carries it over in the transported coordinate
+    # the Moebius-moved copy carries it over in the transported coordinate.
+    # d ln mu is exact here, so the legs run only with the closed form off.
+    monkeypatch.setattr(sp.SpectralData, "closed_form", None)
     h, alpha = 0.5, 0.3
     data, b2 = families.revolution_family(families.RevolutionParams(h, alpha))
     if phi:
@@ -1244,3 +1246,99 @@ def test_delta_scan_needs_positive_a():
     # a window wholly between the roots holds no root of a, but a < 0 on it
     with pytest.raises(DomainError, match="a has real zeros"):
         sp.delta_scan(data, np.linspace(-0.4, 0.4, 7))
+
+
+# ---------------------------------------------------------------------------
+# ln mu in closed form wherever d ln mu is exact.
+
+
+def _by_legs(monkeypatch, data, kappa):
+    """lnmu_at on a fresh copy of data with the closed form off: the base leg
+    and the polyline."""
+    with monkeypatch.context() as m:
+        m.setattr(sp.SpectralData, "closed_form", None)
+        return sp.lnmu_at(sp.SpectralData(data.a, data.b, data.kappa0, data.kappa1), kappa)
+
+
+def _assert_closed_form_matches_legs(monkeypatch, data, kappas, bound):
+    # off the real axis the closed form takes the principal nu and the legs
+    # the sheet they track: the pairs (ln mu, nu) agree up to one sign
+    for kappa in kappas:
+        got_val, got_nu = sp.lnmu_at(data, kappa)
+        want_val, want_nu = _by_legs(monkeypatch, data, kappa)
+        if abs(got_nu + want_nu) < abs(got_nu - want_nu):
+            got_val, got_nu = -got_val, -got_nu
+        assert abs(got_val - want_val) <= bound * max(abs(want_val), 1.0), (kappa, got_val, want_val)
+        assert abs(got_nu - want_nu) <= bound * max(abs(want_nu), 1.0), (kappa, got_nu, want_nu)
+
+
+def _exact_curves(rng):
+    h, alpha = rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.9)
+    data, _ = families.revolution_family(families.RevolutionParams(h, alpha))
+    moved = sp.mobius_transform_data(data, rng.uniform(-0.4, 0.4))
+    target, status = flow.flow_integrate(data, flow.branch_target_supplier(data, 0), 0.005)
+    assert status["completed"]
+    mobius, status = flow.flow_integrate(moved, lambda d, t: la.RealPolynomial(d.b.coeffs.copy()), 0.01)
+    assert status["completed"]
+    return {"rotational": data, "moved": moved, "target-flow": target[-1].data,
+            "mobius-flow": mobius[-1].data}
+
+
+def test_exact_curves_take_the_closed_form_and_match_the_legs(rng, monkeypatch):
+    # rotational data (a = k^2 + alpha, b = b2 (1 - alpha) k), a Moebius-moved
+    # copy and the end states of two flows keep d ln mu exact: ln mu is
+    # 2 pi i u/nu, equal to the legs at the marked points and off the axis
+    for name, data in _exact_curves(rng).items():
+        assert data.closed_form is not None, name
+        kappas = [data.kappa0, data.kappa1, *(rng.uniform(-2.5, 2.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3))]
+        _assert_closed_form_matches_legs(monkeypatch, data, kappas, 1e-13)
+    # the curves without odd roots of a have no legs; their closed forms are
+    # pinned by test_clifford_lnmu_closed_form and the nodal square curve
+    assert families.clifford_spectral_data().closed_form is not None
+
+
+def test_non_exact_curves_have_no_closed_form(rng):
+    curves = [_genus2(), _double_base_curve()]
+    for g in (1, 1, 2, 2):
+        z = rng.uniform(-2.0, 2.0, g) + 1j * rng.uniform(0.2, 2.0, g)
+        a = np.polynomial.polynomial.polyfromroots(np.concatenate([z, z.conj()])).real
+        curves.append(sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(rng.normal(size=g + 2)),
+                                      2.7, -3.1))
+    assert all(data.closed_form is None for data in curves)
+
+
+@pytest.mark.parametrize("eps,exact", [(1e-13, True), (1e-11, False)])
+def test_closed_form_threshold_on_perturbed_b(monkeypatch, eps, exact):
+    # b + eps on every coefficient of rotational data: the relative residual
+    # of the solve is about 2.4 eps, against _EXACT_TOL = 1e-12; below it the
+    # closed form stays within the quadrature tolerance of the legs
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    for d in (data, sp.mobius_transform_data(data, 0.23)):
+        bumped = sp.SpectralData(d.a, la.RealPolynomial(d.b.coeffs + eps), d.kappa0, d.kappa1)
+        assert (bumped.closed_form is not None) is exact
+        _assert_closed_form_matches_legs(monkeypatch, bumped, [d.kappa0, 1.7, -2.1 + 0.6j], sp._LNMU_TOL)
+
+
+def test_lnmu_entry_rule_on_both_routes(monkeypatch):
+    # one rule for the closed form and the legs: kappa finite, and more than
+    # 1e-12 from every branch point and +-i
+    rotational, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    curves = [families.clifford_spectral_data(), rotational, _genus2()]
+    for data in curves:
+        for kappa in (*data.obstacles, data.obstacles[-1] + 5e-13, math.inf, complex(0.3, math.nan)):
+            with pytest.raises(DomainError):
+                sp.lnmu_at(data, kappa)
+            with pytest.raises(DomainError), monkeypatch.context() as m:
+                m.setattr(sp.SpectralData, "closed_form", None)
+                sp.lnmu_at(sp.SpectralData(data.a, data.b, data.kappa0, data.kappa1), kappa)
+
+
+def test_a_root_at_pm_i_takes_no_closed_form():
+    # a = (k^2 + 1)^2 with b = k/2 solves u'p - u p'/2 = ab with u = -1/6,
+    # but a root of a at +-i stays outside the envelope (condition B has no
+    # cycle there): no closed form, and lnmu_at names the missing normalization
+    data = sp.SpectralData(la.RealPolynomial(np.array([1.0, 0.0, 2.0, 0.0, 1.0])),
+                           la.RealPolynomial(np.array([0.0, 0.5])), 1.2, -0.8)
+    assert data.closed_form is None
+    with pytest.raises(InconsistencyError, match="not divisible by sqrt"):
+        sp.lnmu_at(data, 1.2)
