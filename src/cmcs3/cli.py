@@ -226,8 +226,7 @@ def cmd_check(args):
     window = _window(args, finite=False)
     data = _load_spectral_data(args)
     report = sp.check_conditions(data, tol=args.tol)
-    branch = sp.real_branch_points(data, window=window)
-    g_val, g_details = sp.g_invariant(data)
+    branch, g_val, g_details = sp.branch_points_and_g(data, window)
     out = {**report, "branch_points": _branch_json(branch), "G": g_val, "G_details": g_details}
     if args.out:
         _write_json(args.out, out)
@@ -253,7 +252,7 @@ def _c_supplier_from_args(args, data):
         zero = la.RealPolynomial(np.zeros(1))
         return lambda d, t: zero
     if args.c == "mobius":
-        return lambda d, t: la.RealPolynomial(d.b.coeffs.copy())
+        return lambda d, t: d.b
     try:
         coeffs = np.array([float(x) for x in args.c.split(",")])
     except ValueError:
@@ -371,6 +370,14 @@ def _count_at_least(least):
     return count
 
 
+def _finite(text):
+    """argparse type of a float that must be finite (exit 3)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 def _finite_positive(text):
     """argparse type of a tolerance or time: a finite float > 0 (exit 3)."""
     x = float(text)
@@ -393,23 +400,23 @@ def build_parser():
     ps = sub.add_parser("surface", help="sample an immersion and write a mesh")
     ps.add_argument("--family", choices=["sphere", "flat", "clifford", "delaunay"])
     ps.add_argument("--xi", help="LaurentMatrix JSON file")
-    ps.add_argument("--t0", type=float, default=math.pi / 4, help="flat-family angle")
-    ps.add_argument("--a_r", type=float, default=0.3, help="Delaunay radius a_r")
-    ps.add_argument("--b_r", type=float, default=0.5, help="Delaunay radius b_r")
-    ps.add_argument("--kappa0", type=float, default=1.0, help="first marked point (kappa)")
-    ps.add_argument("--kappa1", type=float, default=-1.0, help="second marked point (kappa)")
-    ps.add_argument("--grid", type=int, nargs=2, default=[64, 16], metavar=("NX", "NY"))
+    ps.add_argument("--t0", type=_finite, default=math.pi / 4, help="flat-family angle")
+    ps.add_argument("--a_r", type=_finite, default=0.3, help="Delaunay radius a_r")
+    ps.add_argument("--b_r", type=_finite, default=0.5, help="Delaunay radius b_r")
+    ps.add_argument("--kappa0", type=_finite, default=1.0, help="first marked point (kappa)")
+    ps.add_argument("--kappa1", type=_finite, default=-1.0, help="second marked point (kappa)")
+    ps.add_argument("--grid", type=int, nargs=2, default=(64, 16), metavar=("NX", "NY"))
     ps.add_argument(
-        "--domain", type=float, nargs=4, default=[-2.0, 2.0, -0.5, 0.5],
+        "--domain", type=_finite, nargs=4, default=(-2.0, 2.0, -0.5, 0.5),
         metavar=("X0", "X1", "Y0", "Y1"),
     )
     ps.add_argument("--out", default="surface.obj", help="OBJ output path")
     ps.add_argument("--csv", help="optional per-vertex CSV output")
     ps.add_argument("--report", help="optional JSON report path")
-    ps.add_argument("--period", type=float, nargs=2, metavar=("RE", "IM"), help="check this period")
+    ps.add_argument("--period", type=_finite, nargs=2, metavar=("RE", "IM"), help="check this period")
     ps.add_argument("--stitch-x", action="store_true", help="close the mesh in x")
     ps.add_argument("--stitch-y", action="store_true", help="close the mesh in y")
-    ps.add_argument("--pole", type=float, nargs=4, help="stereographic pole in R^4")
+    ps.add_argument("--pole", type=_finite, nargs=4, help="stereographic pole in R^4")
     ps.add_argument("--tol-geom", type=_finite_positive, default=0.02, help="relative geometry tolerance")
     ps.add_argument("--tol-period", type=_finite_positive, default=1e-6)
     ps.set_defaults(fn=cmd_surface)
@@ -417,7 +424,7 @@ def build_parser():
     pc = sub.add_parser("check", help="verify the closing conditions of spectral data")
     _add_data_source(pc)
     pc.add_argument("--tol", type=_finite_positive, default=1e-8)
-    pc.add_argument("--window", type=float, nargs=2, default=[-10.0, 10.0])
+    pc.add_argument("--window", type=float, nargs=2, default=(-10.0, 10.0))
     pc.add_argument("--out", help="JSON report path")
     pc.set_defaults(fn=cmd_check)
 
@@ -436,7 +443,7 @@ def build_parser():
 
     pd = sub.add_parser("delta", help="scan the trace function on a real window")
     _add_data_source(pd)
-    pd.add_argument("--window", type=float, nargs=2, default=[-3.0, 3.0])
+    pd.add_argument("--window", type=float, nargs=2, default=(-3.0, 3.0))
     pd.add_argument("--samples", type=_count_at_least(1), default=241)
     pd.add_argument("--tol", type=_finite_positive, default=1e-8)
     pd.add_argument("--out", default="delta.csv")
@@ -450,10 +457,15 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built on the first main call, then reused: its defaults are immutable
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except _SchemaError as exc:
         print(f"cmcs3: {exc}", file=sys.stderr)

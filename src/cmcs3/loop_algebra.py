@@ -12,6 +12,7 @@ Moebius change of spectral parameter between lam and kappa.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -33,17 +34,19 @@ _DIVISION_TOL = 1e-8  # residuals of root division and tangents, relative to xi
 
 @dataclass(frozen=True)
 class RealPolynomial:
-    """Real polynomial with ascending coefficients."""
+    """Real polynomial with ascending coefficients, held in a read-only copy,
+    so the facts worked out from them (the degree) stay true."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        c = np.array(self.coeffs, dtype=float, ndmin=1)
         if c.ndim != 1:
             raise PreconditionError(f"polynomial coefficients must be 1-D, got shape {c.shape}")
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
+    @cached_property
     def degree(self):
         nz = np.nonzero(np.abs(self.coeffs) > 0)[0]
         return int(nz[-1]) if nz.size else -1

@@ -72,14 +72,12 @@ class SpectralData:
             raise PreconditionError(f"deg b = {b.degree} exceeds g+1 = {g + 1}")
         if abs(self.kappa0 - self.kappa1) < 1e-12:
             raise PreconditionError("marked points coincide")
-        a.coeffs.setflags(write=False)
-        b.coeffs.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "kappa0", float(self.kappa0))
         object.__setattr__(self, "kappa1", float(self.kappa1))
 
-    @property
+    @cached_property
     def g(self):
         return self.a.degree // 2
 
@@ -122,6 +120,11 @@ class SpectralData:
             else:
                 out[k] = replace(out[k], multiplicity=out[k].multiplicity + 1)
         return tuple(sorted(out, key=lambda r: (r.value.real, r.value.imag)))
+
+    @cached_property
+    def root_at_pm_i(self):
+        """Whether a root of a sits at +-i, which branch_points merges into it."""
+        return len(self.branch_points) < len(self.a_roots) + 2
 
     @cached_property
     def obstacles(self):
@@ -367,7 +370,7 @@ def _closed_form(data):
     alpha the equation alone fixes ln mu only to ~eps/(1 - alpha)^2).  A root
     of a at +-i (merged into +-i by branch_points) is left to the legs.
     """
-    if len(data.branch_points) < len(data.a_roots) + 2:
+    if data.root_at_pm_i:
         return None
     p = data.p_coeffs
     dp = npoly.polyder(p)
@@ -538,7 +541,11 @@ def period_loops(data):
     """The cycles of condition B: the homology_cycles pairs, and the even
     roots of a (nodes), whose periods are residues.  +-i need none: with
     kappa = +-i + w^2, d ln mu = G(w^2) dw/w^2 has no 1/w term when
-    a(+-i) != 0."""
+    a(+-i) != 0.  A root of a at +-i, of any multiplicity, is outside the
+    envelope: InconsistencyError."""
+    if data.root_at_pm_i:
+        raise InconsistencyError("+-i is a multiple branch point (a vanishes there); "
+                                 "condition B has no cycle around it")
     return homology_cycles(data), [r.value for r in data.a_roots if r.multiplicity % 2 == 0]
 
 
@@ -603,7 +610,7 @@ def delta(data, kappa):
 
 def delta_scan(data, kappas):
     """(Delta at real kappas, in any order, with a > 0 between them, and the
-    real_branch_points of [min kappas, max kappas]) off one _branch_report walk.
+    real_branch_points of [min kappas, max kappas]) off one _walk.
 
     ln mu is taken once, at kappas[0]; theta at a sample is theta at the left
     edge of its cell plus one GL16 sum.  On the positive branch nu > 0,
@@ -611,7 +618,9 @@ def delta_scan(data, kappas):
     whose integral lies in 2 pi i Z when condition B holds, so Delta is the same.
     """
     ts = np.arctan(kappas)
-    report, (edges, theta, lnmu0) = _branch_report(data, np.min(kappas), np.max(kappas), kappas[0])
+    edges, theta = _walk(data, np.min(kappas), np.max(kappas), kappas[0])
+    theta, lnmu0 = _anchored(data, edges, theta, kappas[0])
+    report, = _branch_entries(data, (edges, theta))
     cell = np.maximum(np.searchsorted(edges, ts, side="right") - 1, 0)
     theta = theta[cell] + _theta_increments(data, edges[cell], ts)
     return 2.0 * np.cosh(lnmu0.real + 1j * theta), report
@@ -621,14 +630,28 @@ def delta_scan(data, kappas):
 # theta = Im ln mu on the real circle t = arctan kappa, kappa = infinity included.
 
 
+_T_END = np.nextafter(0.5 * math.pi, 0.0)  # t of the finite kappa nearest infinity
+
+
+def _circle_t(kappas):
+    """t = arctan kappa, with finite kappa kept inside (-pi/2, pi/2): arctan
+    rounds every |kappa| > 1.6e16 onto +-pi/2, which is kappa = infinity."""
+    t = np.arctan(kappas)
+    return np.where(np.isinf(kappas), t, np.clip(t, -_T_END, _T_END))
+
+
 def _theta_prime(data, ts):
     """dtheta/dt on the positive real branch: 2 pi b~/sqrt(a~), where
     b~ = cos^(g+1) t b(tan t) and a~ = cos^(2g) t a(tan t) are finite on the
     whole circle (a~ = 1 at t = +-pi/2, as a is monic)."""
     s, c = np.sin(ts), np.cos(ts)
 
-    def homogeneous(poly, n):  # sum_j p_j s^j c^(n - j)
-        return sum(p * s**j * c ** (n - j) for j, p in enumerate(poly.coeffs))
+    def homogeneous(poly, n):  # sum_j p_j s^j c^(n-j) = c^(n-d) H, H by Horner in s
+        d = poly.degree
+        h, c_power = poly.coeffs[d], c
+        for p in poly.coeffs[:d][::-1]:
+            h, c_power = h * s + p * c_power, c_power * c
+        return h * c ** (n - d)
 
     return 2.0 * math.pi * homogeneous(data.b, data.g + 1) / np.sqrt(homogeneous(data.a, 2 * data.g))
 
@@ -648,7 +671,7 @@ def _theta_walk(data, ts):
     every ts is an edge.  a > 0 is decided before any quadrature: no real
     root of a in the range, and so one sign there, positive at its middle.
     """
-    if (any(r.is_real and ts[0] <= np.arctan(r.value.real) <= ts[-1] for r in data.a_roots)
+    if (any(r.is_real and ts[0] <= _circle_t(r.value.real) <= ts[-1] for r in data.a_roots)
             or data.a(math.tan(0.5 * (ts[0] + ts[-1]))) <= 0):
         raise DomainError("a has real zeros and is not positive on the range; no positive branch")
     starts, gains, _ = _adaptive(lambda t, _: _theta_prime(data, t), ts[:-1], ts[1:], _LNMU_TOL,
@@ -658,8 +681,12 @@ def _theta_walk(data, ts):
 
 def _newton_crossings(data, t_lo, th_lo, t_hi, th_hi, levels):
     """Roots of theta - pi*levels in the cells [t_lo, t_hi], all at once, by
-    safeguarded Newton (rtsafe, Numerical Recipes 9.4) from the secant points.
+    safeguarded Newton (rtsafe, Numerical Recipes 9.4).
 
+    Each start solves a quadratic model of theta on its cell: through both
+    edges, with theta' of the flatter edge there (clipped to [0, 1] of the
+    secant slope).  On a straight theta that is the secant point; next to a
+    root of b, where theta' = 0, the square-root point of the tangency.
     theta(t) = th_lo + GL16 on [t_lo, t]: one _theta_increments call per
     iteration for all crossings.  A step that leaves its bracket or does not
     halve the one before is a bisection.  A crossing stops at a step below
@@ -667,8 +694,18 @@ def _newton_crossings(data, t_lo, th_lo, t_hi, th_hi, levels):
     """
     target = math.pi * levels
     lo, hi = t_lo.copy(), t_hi.copy()
-    t = t_lo + (t_hi - t_lo) * (target - th_lo) / (th_hi - th_lo)
-    step, i = t_hi - t_lo, np.arange(len(t))
+    width, rise = t_hi - t_lo, th_hi - th_lo
+    slope_lo, slope_hi = _theta_prime(data, np.concatenate((t_lo, t_hi))).reshape(2, -1) * width / rise
+    flat_hi = np.abs(slope_hi) < np.abs(slope_lo)
+    m = np.clip(np.where(flat_hi, slope_hi, slope_lo), 0.0, 1.0)
+    # x, y: fractions of the width and the rise from the flatter edge, on
+    # the model y = m x + (1 - m) x^2
+    y = np.clip((target - th_lo) / rise, 0.0, 1.0)
+    y = np.where(flat_hi, 1.0 - y, y)
+    root = m + np.sqrt(m * m + 4.0 * (1.0 - m) * y)
+    x = np.divide(2.0 * y, root, out=np.zeros_like(y), where=root > 0)
+    t = np.where(flat_hi, t_hi - width * x, t_lo + width * x)
+    step, i = width.copy(), np.arange(len(t))
     for _ in range(80):
         if not len(i):
             break
@@ -687,36 +724,41 @@ def _newton_crossings(data, t_lo, th_lo, t_hi, th_hi, levels):
     return t
 
 
-def _level_crossings(data, edges, theta):
-    """(t, L) where theta crosses pi L in the cells of a walk, sorted by t.
+def _level_crossings(data, *walks):
+    """Per walk (edges, theta): the (t, L) where theta crosses pi L, sorted by t.
 
-    Cells whose levels differ are refined one crossing per level, all in one
-    _newton_crossings; an edge with theta on a level in a cell that keeps its
-    level is a crossing itself.
+    An edge with theta within 1e-12 pi of a level is a crossing itself, the
+    ends of the walk included: the walk's range is closed.  Cells whose
+    levels differ are refined one crossing per level, those of all walks in
+    one _newton_crossings.
     """
-    ratio = theta[:-1] / math.pi
-    levels_lo = np.floor(ratio)
-    levels_hi = np.floor(theta[1:] / math.pi)
-    nearest = np.round(ratio)
-    on_level = (levels_lo == levels_hi) & (np.abs(ratio - nearest) < 1e-12)
-    crossings = [(edges[i], int(nearest[i])) for i in np.flatnonzero(on_level)]
-    bounds = np.sort([levels_lo, levels_hi], axis=0).astype(int)
-    pairs = [(i, level) for i in np.flatnonzero(levels_lo != levels_hi)
-             for level in range(bounds[0, i] + 1, bounds[1, i] + 1)]
-    cells, levels = np.array(pairs, dtype=int).reshape(-1, 2).T
-    t_star = _newton_crossings(data, edges[cells], theta[cells], edges[cells + 1],
-                               theta[cells + 1], levels.astype(float))
-    crossings += zip(t_star.tolist(), levels.tolist())
-    # An edge sitting exactly on a level is found twice: once by the edge
-    # test and once by refining the adjacent cell.  Merge.
-    crossings.sort(key=lambda c: c[0])
-    merged = []
-    for t_star, level in crossings:
-        same = merged and merged[-1][1] == level
-        if same and abs(t_star - merged[-1][0]) < 1e-7 * max(1.0, abs(t_star)):
-            continue
-        merged.append((t_star, level))
-    return merged
+    found, brackets = [], []
+    for k, (edges, theta) in enumerate(walks):
+        ratio = theta / math.pi
+        nearest = np.round(ratio)
+        found.append([(edges[i], int(nearest[i])) for i in np.flatnonzero(np.abs(ratio - nearest) < 1e-12)])
+        levels_lo, levels_hi = np.floor(ratio[:-1]), np.floor(ratio[1:])
+        bounds = np.sort([levels_lo, levels_hi], axis=0).astype(int)
+        brackets += [(k, edges[i], theta[i], edges[i + 1], theta[i + 1], level)
+                     for i in np.flatnonzero(levels_lo != levels_hi)
+                     for level in range(bounds[0, i] + 1, bounds[1, i] + 1)]
+    walk, *cells = np.array(brackets, dtype=float).reshape(-1, 6).T
+    for k, t_star, level in zip(walk.astype(int).tolist(), _newton_crossings(data, *cells).tolist(),
+                                cells[-1].astype(int).tolist()):
+        found[k].append((t_star, level))
+    # An edge on a level next to a cell that crosses it is found twice: once
+    # by the edge test and once by refining the cell.  Merge.
+    out = []
+    for crossings in found:
+        crossings.sort(key=lambda c: c[0])
+        merged = []
+        for t_star, level in crossings:
+            same = merged and merged[-1][1] == level
+            if same and abs(t_star - merged[-1][0]) < 1e-7 * max(1.0, abs(t_star)):
+                continue
+            merged.append((t_star, level))
+        out.append(merged)
+    return out
 
 
 def _kappa_err(data, ts):
@@ -725,41 +767,61 @@ def _kappa_err(data, ts):
         return 2 * _LNMU_TOL / np.abs(_theta_prime(data, ts) * np.cos(ts) ** 2)
 
 
-def _branch_report(data, lo, hi, anchor):
-    """(real_branch_points on [lo, hi], its walk (edges, theta, ln mu at the
-    anchor)), theta anchored by lnmu_at(anchor).
+def _real_b_ts(data):
+    """(t = arctan beta, root) of the real roots beta of b."""
+    roots = [r for r in data.b_roots if r.is_real]
+    return list(zip(_circle_t([r.value.real for r in roots]).tolist(), roots))
 
-    lo, hi = -inf, inf walk the whole circle and enter kappa = infinity, both
-    ends of the walk, as a root of b of multiplicity g+1-deg b.  A point on a
+
+def _anchored(data, edges, theta, kappa):
+    """(theta of a walk shifted to Im lnmu_at(kappa) at the edge arctan kappa, that ln mu)."""
+    lnmu = lnmu_at(data, kappa)[0]
+    return theta + lnmu.imag - theta[np.searchsorted(edges, _circle_t(kappa))], lnmu
+
+
+def _branch_entries(data, *walks):
+    """Per walk (edges, theta), theta anchored, whose edges hold the real
+    roots of b in its closed range [edges[0], edges[-1]]: the
+    real_branch_points of that range.
+
+    kappa = infinity, an end of the walk at t = +-pi/2 (both ends of the whole
+    circle), enters as a root of b of multiplicity g+1-deg b.  A point on a
     level (m = 0 too) drops the crossings of that level in its cells, where
     rounding of theta scatters them.
     """
-    roots = [r for r in data.b_roots if r.is_real and lo <= r.value.real <= hi]
-    t_roots = np.arctan([r.value.real for r in roots])
-    edges, theta = _theta_walk(data, np.unique(np.r_[np.arctan([lo, hi, anchor]), t_roots]))
-    lnmu0 = lnmu_at(data, anchor)[0]
-    theta += lnmu0.imag - theta[np.searchsorted(edges, np.arctan(anchor))]
-    crossings = _level_crossings(data, edges, theta)
-    points = [(r.value.real, r.multiplicity, [np.searchsorted(edges, t)])
-              for r, t in zip(roots, t_roots)]
-    if hi == math.inf:
-        points.append((math.inf, data.g + 1 - data.b.degree, [0, len(edges) - 1]))
-    entries = []
-    for kappa, m, at in points:
-        level = round(theta[at[0]] / math.pi)
-        if abs(theta[at[0]] - math.pi * level) >= _BRANCH_TOL:
-            entries += [BranchEntry(kappa, 2.0 * math.cos(theta[at[0]]), m, "b_root")] if m else []
-            continue
-        kind = "both" if m else "double_point"
-        entries.append(BranchEntry(kappa, 2.0 * ((-1.0) ** level), 2 * m + 1, kind))
-        for i in at:
-            level, (t0, t1) = round(theta[i] / math.pi), edges[np.clip([i - 1, i + 1], 0, len(edges) - 1)]
-            crossings = [c for c in crossings if c[1] != level or not t0 <= c[0] <= t1]
-    errs = _kappa_err(data, np.array([t for t, _ in crossings])).tolist()
-    entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point", err)
-               for (t, level), err in zip(crossings, errs)] + entries
-    entries.sort(key=lambda e: e.kappa.real)
-    return entries, (edges, theta, lnmu0)
+    reports = []
+    for (edges, theta), crossings in zip(walks, _level_crossings(data, *walks)):
+        points = [(r.value.real, r.multiplicity, [np.searchsorted(edges, t)])
+                  for t, r in _real_b_ts(data) if edges[0] <= t <= edges[-1]]
+        ends = [i for i in (0, len(edges) - 1) if abs(edges[i]) == 0.5 * math.pi]
+        if ends:
+            points.append((math.inf, data.g + 1 - data.b.degree, ends))
+        entries = []
+        for kappa, m, at in points:
+            level = round(theta[at[0]] / math.pi)
+            if abs(theta[at[0]] - math.pi * level) >= _BRANCH_TOL:
+                entries += [BranchEntry(kappa, 2.0 * math.cos(theta[at[0]]), m, "b_root")] if m else []
+                continue
+            kind = "both" if m else "double_point"
+            entries.append(BranchEntry(kappa, 2.0 * ((-1.0) ** level), 2 * m + 1, kind))
+            for i in at:
+                level, (t0, t1) = round(theta[i] / math.pi), edges[np.clip([i - 1, i + 1], 0, len(edges) - 1)]
+                crossings = [c for c in crossings if c[1] != level or not t0 <= c[0] <= t1]
+        errs = _kappa_err(data, np.array([t for t, _ in crossings])).tolist()
+        entries = [BranchEntry(math.tan(t), 2.0 * ((-1.0) ** level), 1, "double_point", err)
+                   for (t, level), err in zip(crossings, errs)] + entries
+        entries.sort(key=lambda e: e.kappa.real)
+        reports.append(entries)
+    return reports
+
+
+def _walk(data, lo, hi, *kappas):
+    """(edges, theta - theta(lo)) of the _theta_walk of [lo, hi] (-inf, inf:
+    the whole circle) with the kappas and the real roots of b in it among its
+    edges; the window is closed."""
+    t_lo, t_hi = _circle_t([lo, hi])
+    t_roots = [t for t, _ in _real_b_ts(data) if t_lo <= t <= t_hi]
+    return _theta_walk(data, np.unique(np.r_[_circle_t([lo, hi, *kappas]), t_roots]))
 
 
 def real_branch_points(data, window):
@@ -770,10 +832,31 @@ def real_branch_points(data, window):
     (beta, 2(-1)^L, 2m+1, "both").  Other roots of b are "b_root" of order m,
     other crossings double points of order 1.  theta is one _theta_walk from
     lnmu_at(window[0]) with the roots of b among its edges, monotone in each
-    cell.  Requires a > 0 on the window (no real nodes).
+    cell.  The window is closed: a point on either end is in it.  Requires
+    a > 0 on the window (no real nodes).
     """
     lo, hi = float(window[0]), float(window[1])
-    return _branch_report(data, lo, hi, lo)[0]
+    edges, theta = _walk(data, lo, hi)
+    return _branch_entries(data, (edges, _anchored(data, edges, theta, lo)[0]))[0]
+
+
+def _g_from(data, report):
+    """g_invariant from the real_branch_points report of the whole circle."""
+    nonreal_curve_points = 0
+    for root in data.b_roots:
+        if root.is_real:
+            continue
+        on_branch = any(abs(root.value - v) < 1e-8 for v in data.obstacles)
+        nonreal_curve_points += root.multiplicity * (1 if on_branch else 2)
+    doubles = [e for e in report if e.kind in ("double_point", "both")]
+    g_val = nonreal_curve_points // 2 + len(doubles) - 1
+    details = {
+        "nonreal_curve_points": nonreal_curve_points,
+        "real_double_points": len(doubles),
+        "real_delta_prime_zeros": len(report),
+        "naive_count": nonreal_curve_points // 2 + len(report) - 1,
+    }
+    return g_val, details
 
 
 def g_invariant(data):
@@ -785,22 +868,25 @@ def g_invariant(data):
     caveats around genus-zero cylinders: the two counting rules in the source
     material disagree there, so both numbers are reported).
     """
-    nonreal_curve_points = 0
-    for root in data.b_roots:
-        if root.is_real:
-            continue
-        on_branch = any(abs(root.value - v) < 1e-8 for v in data.obstacles)
-        nonreal_curve_points += root.multiplicity * (1 if on_branch else 2)
-    report, _ = _branch_report(data, -math.inf, math.inf, 0.0)
-    doubles = [e for e in report if e.kind in ("double_point", "both")]
-    g_val = nonreal_curve_points // 2 + len(doubles) - 1
-    details = {
-        "nonreal_curve_points": nonreal_curve_points,
-        "real_double_points": len(doubles),
-        "real_delta_prime_zeros": len(report),
-        "naive_count": nonreal_curve_points // 2 + len(report) - 1,
-    }
-    return g_val, details
+    edges, theta = _walk(data, -math.inf, math.inf, 0.0)
+    return _g_from(data, _branch_entries(data, (edges, _anchored(data, edges, theta, 0.0)[0]))[0])
+
+
+def branch_points_and_g(data, window):
+    """(real_branch_points(data, window), *g_invariant(data)) off one walk of
+    RP^1 that has the window's ends among its edges.
+
+    Each report keeps its own anchor: G reads theta from lnmu_at(0), the
+    window report theta - theta(lo) + Im lnmu_at(lo) on the window's cells.
+    The two agree up to 2 pi Z only where condition B holds.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    edges, theta = _walk(data, -math.inf, math.inf, 0.0, lo, hi)
+    i, j = np.searchsorted(edges, _circle_t([lo, hi]))
+    cells = slice(i, j + 1)
+    window = edges[cells], _anchored(data, edges[cells], theta[cells], lo)[0]
+    report, circle = _branch_entries(data, window, (edges, _anchored(data, edges, theta, 0.0)[0]))
+    return (report, *_g_from(data, circle))
 
 
 def weighted_genus(report):

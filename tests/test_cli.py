@@ -598,3 +598,79 @@ def test_check_window_from_minus_infinity_exits_schema(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "window must satisfy lo < hi with a finite lo" in err and "Traceback" not in err
     assert not built and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "0", "nan", "0", "1"],
+    ["--domain", "0", "inf", "0", "1"],
+    ["--pole", "nan", "0", "0", "1"],
+    ["--period", "nan", "0"],
+    ["--t0", "inf"],
+    ["--a_r", "nan"],
+    ["--b_r", "inf"],
+    ["--kappa0", "nan"],
+    ["--kappa1", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_surface_nonfinite_options_exit_schema(tmp_path, capsys, monkeypatch, recwarn, argv):
+    built = []
+    monkeypatch.setattr(families, "delaunay_xi", lambda *args: built.append(args))
+    out = tmp_path / "surface.obj"
+    assert run(["surface", "--family", "delaunay", *argv, "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}: must be finite" in err and "Traceback" not in err
+    assert not built and not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_check_and_delta_reports_agree_on_a_closed_window(tmp_path):
+    # the window is closed: on Clifford data the double point kappa = -1
+    # (Delta = -2) sits on the lower end of [-1, 5], and both the check
+    # report (read off the walk of the whole circle) and the delta report
+    # (a walk of the window) list it
+    check_out, delta_rep = tmp_path / "check.json", tmp_path / "delta.json"
+    source = ["--family", "clifford", "--window", "-1", "5"]
+    assert run(["check", *source, "--out", str(check_out)]) == cli.EXIT_OK
+    assert run(["delta", *source, "--out", str(tmp_path / "delta.csv"), "--report", str(delta_rep)]) == 0
+    checked = json.loads(check_out.read_text())["branch_points"]
+    scanned = json.loads(delta_rep.read_text())["branch_points"]
+    assert [(e["kind"], e["order"]) for e in checked] == [(e["kind"], e["order"]) for e in scanned]
+    assert np.allclose([e["kappa"] for e in checked], [-1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+    assert np.allclose([e["kappa"] for e in scanned], [-1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_check_walks_theta_once(tmp_path, monkeypatch):
+    # the window report and G come off one walk of the circle; ln mu is
+    # taken at the marked points (condition C), the window's lower end and 0
+    calls, walks = [], []
+    lnmu_at, theta_walk = sp.lnmu_at, sp._theta_walk
+    monkeypatch.setattr(sp, "lnmu_at", lambda data, k: calls.append(k) or lnmu_at(data, k))
+    monkeypatch.setattr(sp, "_theta_walk", lambda *args: walks.append(args) or theta_walk(*args))
+    argv = ["check", "--family", "revolution", "--H", "0.5", "--alpha", "0.25", "--window", "-3", "4"]
+    assert run(argv + ["--out", str(tmp_path / "check.json")]) == cli.EXIT_OK
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
+    assert len(walks) == 1
+    assert sorted(calls) == sorted([data.kappa0, data.kappa1, -3.0, 0.0])
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(2):
+        assert run(["check", "--family", "clifford", "--out", str(tmp_path / "check.json")]) == cli.EXIT_OK
+    assert built == [1]
+
+
+def test_reused_parser_hands_out_unshared_defaults(tmp_path):
+    # list-valued options default to tuples, so no call can change what the
+    # next one gets; a call that sets them leaves the defaults as they were
+    run(["check", "--family", "clifford", "--window", "-1", "5", "--out", str(tmp_path / "check.json")])
+    parser = cli._PARSER
+    check = parser.parse_args(["check", "--family", "clifford"])
+    surface = parser.parse_args(["surface", "--family", "clifford"])
+    delta = parser.parse_args(["delta", "--family", "clifford"])
+    assert check.window == (-10.0, 10.0) and delta.window == (-3.0, 3.0)
+    assert surface.grid == (64, 16) and surface.domain == (-2.0, 2.0, -0.5, 0.5)
+    assert parser.parse_args(["check", "--window", "1", "2"]).window == [1.0, 2.0]
+    assert parser.parse_args(["check"]).window == (-10.0, 10.0)

@@ -202,3 +202,16 @@ def test_laurent_json_round_trip(delaunay_xi):
     back = la.LaurentMatrix.from_json(obj)
     assert back.g == delaunay_xi.g
     assert np.max(np.abs(back.coeffs - delaunay_xi.coeffs)) < 1e-15
+
+
+def test_real_polynomial_keeps_a_read_only_copy():
+    # the degree is worked out once, so the coefficients must not change
+    # under it; the caller's array stays the caller's, and writable
+    given = np.array([1.0, 2.0, 0.0])
+    p = la.RealPolynomial(given)
+    assert p.degree == 1 and not p.coeffs.flags.writeable
+    given[2] = 5.0
+    assert given.flags.writeable and p.degree == 1 and p.coeffs[2] == 0.0
+    with pytest.raises(ValueError):
+        p.coeffs[2] = 5.0
+    assert la.RealPolynomial(np.zeros(2)).degree == -1

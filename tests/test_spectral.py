@@ -208,6 +208,19 @@ def test_real_branch_points_tangency_at_root_of_b(window):
     assert report[0].delta == report[2].delta == -2.0
 
 
+@pytest.mark.parametrize("window", _TANGENCY_WINDOWS, ids=lambda w: f"{w[0]:g}..{w[1]:g}")
+def test_near_tangency_crossings_start_from_the_flat_edge(window, monkeypatch):
+    # theta' = 0 at the root of b next to the close pair of double points: a
+    # secant start lands where theta is flat (16 iterations, 11 bisections);
+    # the quadratic start through the flat edge needs at most 8
+    calls = []
+    increments = sp._theta_increments
+    monkeypatch.setattr(sp, "_theta_increments", lambda *args: calls.append(1) or increments(*args))
+    report = sp.real_branch_points(_tangency(1e-7), window)
+    assert [e.kind for e in report] == ["double_point", "b_root", "double_point"]
+    assert len(calls) <= 8
+
+
 def test_kappa_err_covers_the_near_tangency_spread():
     # the double points next to the near-tangency move by ~1.3e-10 from window
     # to window (theta is known to ~1e-12 and dtheta/dkappa is ~2.4e-3 there):
@@ -259,7 +272,7 @@ def _refinement_calls(monkeypatch, data, edges, theta):
     calls = []
     increments = sp._theta_increments
     monkeypatch.setattr(sp, "_theta_increments", lambda *args: calls.append(1) or increments(*args))
-    crossings = sp._level_crossings(data, edges, theta)
+    crossings, = sp._level_crossings(data, (edges, theta))
     monkeypatch.setattr(sp, "_theta_increments", increments)
     return len(calls), crossings
 
@@ -282,7 +295,8 @@ def test_crossing_at_large_kappa_stops_at_the_resolution_of_t(monkeypatch):
 def test_refinement_calls_are_per_iteration_not_per_crossing(monkeypatch, name):
     # all crossings of a walk share one _theta_increments call per Newton
     # iteration: the walk over the circle makes as many calls as its slowest
-    # crossing does alone, in a walk of its one cell
+    # crossing does alone, in a walk of its one cell.  A walk's range is
+    # closed, so neighbouring cells both find a crossing on their common edge
     rot, _ = families.revolution_family(families.RevolutionParams(0.7, 0.4))
     data = {"clifford": families.clifford_spectral_data(),
             "mobius": sp.mobius_transform_data(rot, 0.15)}[name]
@@ -293,7 +307,8 @@ def test_refinement_calls_are_per_iteration_not_per_crossing(monkeypatch, name):
     cells = np.flatnonzero(np.floor(theta[:-1] / math.pi) != np.floor(theta[1:] / math.pi))
     alone = [_refinement_calls(monkeypatch, data, edges[i:i + 2], theta[i:i + 2]) for i in cells]
     assert len(crossings) >= 2 and len(alone) == len(crossings)
-    assert [c for _, found in alone for c in found] == crossings
+    found = sorted({(round(t, 12), level) for _, cell in alone for t, level in cell})
+    assert found == [(round(t, 12), level) for t, level in crossings]
     assert n_all == max(n for n, _ in alone) <= 10
 
 
@@ -321,6 +336,53 @@ def test_g_invariant_anchors_once_at_zero(revolution_quarter, monkeypatch):
     monkeypatch.setattr(sp, "lnmu_at", lambda data, k: calls.append(k) or lnmu_at(data, k))
     sp.g_invariant(revolution_quarter)
     assert calls == [0.0]
+
+
+def test_double_point_at_infinity_is_one_point():
+    # Clifford's a and b with marked points 2 and -3 (G needs no condition
+    # C), moved by phi = -pi/4: kappa -> (kappa + 1)/(1 - kappa) sends the
+    # double points -1, 0, 1 to 0, 1, infinity and the root of b at infinity
+    # to -1.  Both ends of the circle walk meet at infinity, and G counts the
+    # point there once; a window [lo, inf] reads theta there, not at lo
+    data = sp.SpectralData(la.RealPolynomial(np.array([1.0])),
+                           la.RealPolynomial(np.array([1.0 / math.sqrt(2.0)])), 2.0, -3.0)
+    moved = sp.mobius_transform_data(data, -0.25 * math.pi)
+    assert sp.g_invariant(moved) == sp.g_invariant(data)
+    assert sp.g_invariant(moved)[1]["real_double_points"] == 3
+    report = sp.real_branch_points(moved, (-10.0, math.inf))
+    assert [e.kind for e in report] == ["b_root", "double_point", "double_point", "double_point"]
+    assert np.allclose([e.kappa for e in report], [-1.0, 0.0, 1.0, math.inf], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hi,at_infinity", [(1e300, False), (math.inf, True)])
+def test_only_an_infinite_window_end_reaches_infinity(hi, at_infinity):
+    # arctan rounds every |kappa| > 1.6e16 onto pi/2, the end of the circle;
+    # a finite end stays inside it, so only hi = inf reports kappa = infinity
+    data = families.clifford_spectral_data()
+    report = sp.real_branch_points(data, (5.0, hi))
+    assert [e.kappa for e in report] == ([math.inf] if at_infinity else [])
+    assert sp.branch_points_and_g(data, (5.0, hi))[0] == report
+
+
+def test_theta_prime_by_horner_matches_the_power_sum(rng):
+    # 2 pi b~/sqrt(a~) with b~ = sum_j b_j s^j c^(g+1-j), a~ the same over a:
+    # the Horner form agrees with the sum of powers, and at t = +-pi/2 (c = 0)
+    # it is 2 pi b_(g+1) (+-1)^(g+1), finite
+    ts = np.concatenate((rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 50), [-0.5 * math.pi, 0.5 * math.pi]))
+    s, c = np.sin(ts), np.cos(ts)
+    for data in (_genus2(), families.clifford_spectral_data(), _tangency(),
+                 families.revolution_family(families.RevolutionParams(0.5, 0.25))[0]):
+        g = data.g
+
+        def power_sum(coeffs, n):
+            return sum(p * s**j * c ** (n - j) for j, p in enumerate(coeffs))
+
+        want = 2.0 * math.pi * power_sum(data.b.coeffs, g + 1) / np.sqrt(power_sum(data.a.coeffs, 2 * g))
+        got = sp._theta_prime(data, ts)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+        lead = data.b.coeffs[g + 1] if data.b.degree == g + 1 else 0.0
+        assert np.allclose(got[-2:], 2.0 * math.pi * lead * np.array([(-1.0) ** (g + 1), 1.0]), atol=1e-12)
 
 
 def test_g_invariant_counts_the_tangency_at_infinity():
@@ -914,11 +976,13 @@ def test_period_loop_past_cap_raises_convergence_error(monkeypatch, tmp_path, ca
 @pytest.mark.parametrize("a,message", [
     ([0.25, 0.0, 1.25, 0.0, 1.0], "is a multiple branch point"),  # (k^2 + 1)(k^2 + 1/4)
     ([1.0, 0.0, 2.0, 0.0, 1.0], "not divisible by sqrt(a)"),  # (k^2 + 1)^2
-], ids=["simple", "double"])
+    ([0.25, 0.0, 1.5, 0.0, 2.25, 0.0, 1.0], "is a multiple branch point"),  # (k^2 + 1)^2 (k^2 + 1/4)
+], ids=["simple", "double", "double-with-odd-roots"])
 def test_a_vanishing_at_pm_i_exits_numerical(tmp_path, capsys, a, message):
-    # +-i are roots of a here, so they need loops of their own: a simple
-    # root is paired into a homology cut that ends on a double root of p, a
-    # double root makes a a square whose closed form of ln mu rejects b
+    # +-i are roots of a here, so they need loops of their own, which
+    # condition B does not have: a root of a at +-i is outside the envelope
+    # of the periods; a = (k^2 + 1)^2 is a square whose closed form of ln mu
+    # rejects b before any period
     path = tmp_path / "data.json"
     path.write_text(json.dumps({"a": a, "b": [0.0, 0.5], "kappa0": 1.2, "kappa1": -0.8}))
     assert cli.main(["check", str(path)]) == cli.EXIT_NUMERICAL
@@ -1086,14 +1150,11 @@ def _refine_crossing(data, t_lo, th_lo, t_hi, level):
 def _loop_level_crossings(data, grid, theta):
     levels_lo = np.floor(theta[:-1] / math.pi)
     levels_hi = np.floor(theta[1:] / math.pi)
-    crossings = []
+    # every grid point exactly on a level, the ends included
+    crossings = [(k, int(round(th / math.pi))) for k, th in zip(grid, theta)
+                 if abs(th / math.pi - round(th / math.pi)) < 1e-12]
     for i in range(len(grid) - 1):
         l0, l1 = int(levels_lo[i]), int(levels_hi[i])
-        if l0 == l1:
-            # endpoint exactly on a level
-            if abs(theta[i] / math.pi - round(theta[i] / math.pi)) < 1e-12:
-                crossings.append((grid[i], int(round(theta[i] / math.pi))))
-            continue
         for level in range(min(l0, l1) + 1, max(l0, l1) + 1):
             k_star = _refine_crossing(data, grid[i], theta[i], grid[i + 1], level)
             crossings.append((k_star, level))
@@ -1137,7 +1198,7 @@ def test_level_crossings_match_grid_loop(name, data, window):
     roots = [r.value.real for r in data.b_roots if r.is_real and window[0] <= r.value.real <= window[1]]
     grid, theta = sp._theta_walk(data, np.unique(np.arctan(list(window) + roots)))
     theta = theta + sp.lnmu_at(data, window[0])[0].imag
-    got = sp._level_crossings(data, grid, theta)
+    got, = sp._level_crossings(data, (grid, theta))
     _assert_same_crossings(data, got, _loop_level_crossings(data, grid, theta),
                            tangency=name.startswith("tangency"))
     assert got or name.startswith("tangency")
@@ -1145,12 +1206,18 @@ def test_level_crossings_match_grid_loop(name, data, window):
 
 def test_level_crossings_on_grid_points():
     # theta exactly on levels at grid points, inside steps that keep their
-    # level and at the ends of steps that change it
+    # level, at the ends of steps that change it and at the start of one
+    # that leaves its level (grid[4]): each is a crossing
     data, _ = families.revolution_family(families.RevolutionParams(0.5, 0.25))
     grid = np.linspace(-2.0, 2.0, 9)
     theta = math.pi * np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.7, -1.0, -1.0, -0.2])
-    got = sp._level_crossings(data, grid, theta)
-    _assert_same_crossings(data, got, _loop_level_crossings(data, grid, theta))
+    got, = sp._level_crossings(data, (grid, theta))
+    # theta falls by 3.7 pi over the step from grid[5] while theta' > 0 there,
+    # so its three crossings all end on grid[6], in an order rounding decides:
+    # crossings that coincide are compared by level
+    def by_place(crossings):
+        return sorted(crossings, key=lambda c: (round(c[0], 10), c[1]))
+    _assert_same_crossings(data, by_place(got), by_place(_loop_level_crossings(data, grid, theta)))
     assert got[:2] == [(grid[0], 0), (grid[1], 0)]
 
 
