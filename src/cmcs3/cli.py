@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -39,6 +40,12 @@ class _CheckFailed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" then a digit is a value, as -1e-3 or the --c list -0.5,1
+        # (Python 3.11's argparse takes only -3 and -0.5 as values)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage problems are schema errors (exit 3), not numerical failures
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -140,12 +147,14 @@ def _surface_setup(args):
 
 
 def cmd_surface(args):
+    x0, x1, y0, y1 = args.domain
+    if not (x0 < x1 and y0 < y1):
+        raise _SchemaError("domain must satisfy X0 < X1 and Y0 < Y1")
     frames, marked, xi = _surface_setup(args)
     nx, ny = args.grid
     if nx < 8 or ny < 8:
         raise _SchemaError("grid must be at least 8x8")
-    domain = tuple(args.domain)
-    sample = immersion.sample_surface(frames, marked, domain, nx, ny)
+    sample = immersion.sample_surface(frames, marked, (x0, x1, y0, y1), nx, ny)
     h_exp, q_exp, _ = immersion.expected_invariants(marked)
     if xi is not None:
         q_exp = q_exp * immersion.hopf_scale(xi)
@@ -223,11 +232,22 @@ def _window(args, finite):
 
 
 def cmd_check(args):
+    """A/B/C decide the exit code.  The window report and G need a > 0 on
+    their range: on all of RP^1 both come off one walk; on the window only,
+    G is null; else both are, and "skipped" holds each reason."""
     window = _window(args, finite=False)
     data = _load_spectral_data(args)
     report = sp.check_conditions(data, tol=args.tol)
-    branch, g_val, g_details = sp.branch_points_and_g(data, window)
-    out = {**report, "branch_points": _branch_json(branch), "G": g_val, "G_details": g_details}
+    why_g = sp.a_positive_on(data, -0.5 * math.pi, 0.5 * math.pi)
+    why_window = why_g and sp.a_positive_on(data, *sp._circle_t(window))
+    if not why_g:
+        branch, g_val, g_details = sp.branch_points_and_g(data, window)
+    else:
+        branch = None if why_window else sp.real_branch_points(data, window)
+        g_val = g_details = None
+    skipped = {k: why for k, why in (("G", why_g), ("branch_points", why_window)) if why}
+    out = {**report, "branch_points": None if branch is None else _branch_json(branch), "G": g_val,
+           "G_details": g_details, **({"skipped": skipped} if skipped else {})}
     if args.out:
         _write_json(args.out, out)
     ok = report["A"] and report["B"]["pass"] and report["C"]["pass"]
@@ -235,7 +255,8 @@ def cmd_check(args):
         "conditions A/B/C: "
         + "/".join("pass" if p else "FAIL" for p in (report["A"], report["B"]["pass"], report["C"]["pass"]))
         + f"; residuals B={report['residuals']['B']:.3e} "
-        + f"C=({report['residuals']['C0']:.3e}, {report['residuals']['C1']:.3e}); G={g_val}"
+        + f"C=({report['residuals']['C0']:.3e}, {report['residuals']['C1']:.3e}); "
+        + (f"G=null: {skipped['G']}" if skipped else f"G={g_val}")
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

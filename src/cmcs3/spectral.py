@@ -68,6 +68,8 @@ class SpectralData:
         a = la.RealPolynomial(a.coeffs / lead)
         b = la.RealPolynomial(b.coeffs / math.sqrt(lead))
         g = a.degree // 2
+        if b.degree < 0:
+            raise PreconditionError("b must be a nonzero polynomial")
         if b.degree > g + 1:
             raise PreconditionError(f"deg b = {b.degree} exceeds g+1 = {g + 1}")
         if abs(self.kappa0 - self.kappa1) < 1e-12:
@@ -581,8 +583,12 @@ def closing_residuals(data, period_tol):
 
 def check_conditions(data, tol=1e-8):
     """Verdicts on the three closing conditions, with residuals."""
-    # A: a >= 0 on the real axis; a is monic of even degree: no odd real root.
-    pass_a = all(r.multiplicity % 2 == 0 for r in data.a_roots if r.is_real)
+    # A: a >= 0 on RP^1, so a > 0 at the middle of every arc between
+    # consecutive real roots of a (the whole circle, middle 0, without any)
+    ts = sorted(math.atan(r.value.real) for r in data.a_roots if r.is_real)
+    ends = zip(ts, ts[1:] + [t + math.pi for t in ts[:1]])
+    middles = [math.remainder(0.5 * (t0 + t1), math.pi) for t0, t1 in ends] or [0.0]
+    pass_a = all(a_positive_on(data, t, t) is None for t in middles)
 
     # B: periods of d ln mu in 2 pi i Z; C: mu = +-1 at the marked points.
     res = closing_residuals(data, 1e-10)
@@ -665,15 +671,28 @@ def _theta_increments(data, lo, hi):
     return halfs * np.sum(_GL_WEIGHTS * _theta_prime(data, ts), axis=-1)
 
 
+def a_positive_on(data, t_lo, t_hi):
+    """None if a > 0 on the closed arc [t_lo, t_hi] of RP^1 (t = arctan kappa,
+    [-pi/2, pi/2] the whole circle): no real root of a on it, and so one sign
+    there, positive at its middle.  Else the reason, naming a real root of a,
+    on the arc if one is."""
+    roots = [r.value.real for r in data.a_roots if r.is_real]
+    on = [k for k in roots if t_lo <= _circle_t(k) <= t_hi]
+    if not on and data.a(math.tan(0.5 * (t_lo + t_hi))) > 0:
+        return None
+    named = f" (a real root of a at kappa = {(on or roots)[0]:.9g})" if on or roots else ""
+    return "a has real zeros and is not positive on the range; no positive branch" + named
+
+
 def _theta_walk(data, ts):
     """(edges, theta - theta(ts[0])) of the cells of one _adaptive pass, to
     _LNMU_TOL, over the strictly increasing float array ts in [-pi/2, pi/2];
-    every ts is an edge.  a > 0 is decided before any quadrature: no real
-    root of a in the range, and so one sign there, positive at its middle.
+    every ts is an edge.  a > 0 on [ts[0], ts[-1]] (a_positive_on) is
+    decided before any quadrature.
     """
-    if (any(r.is_real and ts[0] <= _circle_t(r.value.real) <= ts[-1] for r in data.a_roots)
-            or data.a(math.tan(0.5 * (ts[0] + ts[-1]))) <= 0):
-        raise DomainError("a has real zeros and is not positive on the range; no positive branch")
+    reason = a_positive_on(data, ts[0], ts[-1])
+    if reason:
+        raise DomainError(reason)
     starts, gains, _ = _adaptive(lambda t, _: _theta_prime(data, t), ts[:-1], ts[1:], _LNMU_TOL,
                                  label="theta quadrature along the real axis")
     return np.append(starts, ts[-1]), np.concatenate(([0.0], np.cumsum(gains)))

@@ -674,3 +674,118 @@ def test_reused_parser_hands_out_unshared_defaults(tmp_path):
     assert surface.grid == (64, 16) and surface.domain == (-2.0, 2.0, -0.5, 0.5)
     assert parser.parse_args(["check", "--window", "1", "2"]).window == [1.0, 2.0]
     assert parser.parse_args(["check"]).window == (-10.0, 10.0)
+
+
+# Curves on which a is not positive on all of RP^1, with kappa0 = 1.7 and
+# kappa1 = -0.9: a = k^2 - 1; a = (k - 1)(k - 1.2)(k^2 - 6k + 9.25), a > 0
+# on [2, 5]; and the node a = (k - 1)^2 (k^2 + 1/4).
+_A_MINUS = {"a": [-1, 0, 1], "b": [0.3, 0.1]}
+_A_TWO_ROOTS = {"a": [11.1, -27.55, 23.65, -8.2, 1], "b": [0.3, -0.2, 0.5, 0.1]}
+_A_NODE = {"a": [0.25, -0.5, 1.25, -2, 1], "b": [0.3, -0.2, 0.5]}
+
+
+def _data_file(tmp_path, obj):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({**obj, "kappa0": 1.7, "kappa1": -0.9}))
+    return str(path)
+
+
+@pytest.mark.parametrize("source,window,code,pass_a,listed,root", [
+    (_A_MINUS, None, cli.EXIT_CHECK_FAILED, False, None, -1.0),
+    (_A_TWO_ROOTS, ("2", "5"), cli.EXIT_CHECK_FAILED, False, [2.263638], 1.0),
+    ("revolution", None, cli.EXIT_OK, True, None, 0.0),
+    ("revolution", ("0.5", "3"), cli.EXIT_OK, True, [1.618034], 0.0),
+    (_A_NODE, ("2", "5"), cli.EXIT_CHECK_FAILED, True, [], 1.0),
+], ids=["a-negative", "two-roots-window", "node-default-window", "node-window", "node-json-window"])
+def test_check_gives_verdicts_where_a_is_not_positive(tmp_path, capsys, source, window, code, pass_a,
+                                                      listed, root):
+    # A/B/C decide the exit code; the window report needs a > 0 on the
+    # window, G on all of RP^1, and a skipped one is null with a reason that
+    # names a real root of a (listed: the double points of a window report)
+    if source == "revolution":
+        argv = ["check", "--family", "revolution", "--H", "0.5", "--alpha", "0"]
+    else:
+        argv = ["check", _data_file(tmp_path, source)]
+    out = tmp_path / "check.json"
+    assert run(argv + (["--window", *window] if window else []) + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and f"kappa = {root:.9g})" in captured.out
+    rep = json.loads(out.read_text())
+    assert rep["A"] is pass_a
+    assert rep["G"] is None and rep["G_details"] is None
+    assert f"a real root of a at kappa = {root:.9g}" in rep["skipped"]["G"]
+    if listed is None:
+        assert rep["branch_points"] is None and "kappa = " in rep["skipped"]["branch_points"]
+    else:
+        assert "branch_points" not in rep["skipped"]
+        doubles = [e["kappa"] for e in rep["branch_points"] if e["kind"] == "double_point"]
+        assert len(doubles) == len(listed) and np.allclose(doubles, listed, rtol=0.0, atol=1e-6)
+
+
+def test_check_of_a_positive_curve_skips_nothing(tmp_path):
+    # a > 0 on all of RP^1: one walk gives the window report and G, and the
+    # report has no "skipped" key
+    out = tmp_path / "check.json"
+    assert run(["check", "--family", "revolution", "--H", "0.5", "--alpha", "0.25",
+                "--out", str(out)]) == cli.EXIT_OK
+    rep = json.loads(out.read_text())
+    assert "skipped" not in rep and rep["G"] is not None and rep["branch_points"]
+
+
+def test_delta_on_a_negative_window_without_roots_exits_schema(tmp_path, capsys):
+    # a < 0 on [1.05, 1.15], between the roots 1 and 1.2 of a
+    path = _data_file(tmp_path, _A_TWO_ROOTS)
+    out = tmp_path / "delta.csv"
+    assert run(["delta", path, "--window", "1.05", "1.15", "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "a has real zeros" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["delta", "--window", "1", "2"],
+    ["flow", "--c", "mobius", "--t-final", "0.01"],
+], ids=["check", "delta", "flow"])
+def test_zero_b_exits_schema(tmp_path, capsys, argv):
+    # b = 0 makes theta constant, so every edge of a walk would be a double point
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"a": [0.25, 0, 1], "b": [0], "kappa0": 1.7, "kappa1": -0.9}))
+    out = tmp_path / "out.file"
+    assert run([argv[0], str(path), *argv[1:], "--out", str(out)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "b must be a nonzero polynomial" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["data.json"]
+
+
+@pytest.mark.parametrize("domain", [("0", "1", "1", "0"), ("1", "0", "0", "1"), ("0", "1", "0", "0")],
+                         ids=["y-reversed", "x-reversed", "y-empty"])
+def test_surface_reversed_or_empty_domain_exits_schema(tmp_path, capsys, monkeypatch, domain):
+    frames = []
+    monkeypatch.setattr(families, "flat_xi", lambda *args: frames.append(args))
+    out = tmp_path / "surface.obj"
+    argv = ["surface", "--family", "clifford", "--grid", "8", "8", "--domain", *domain, "--out", str(out)]
+    assert run(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "domain must satisfy X0 < X1 and Y0 < Y1" in err and "Traceback" not in err
+    assert not frames and not out.exists()
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["flow", "--family", "clifford", "--c", "-0.5,1", "--t-final", "0.01"],
+     ["flow", "--family", "clifford", "--c=-0.5,1", "--t-final", "0.01"]),
+    (["check", "--family", "clifford", "--window", "-1e-3", "5"],
+     ["check", "--family", "clifford", "--window", "-0.001", "5"]),
+    (["surface", "--family", "sphere", "--grid", "8", "8", "--kappa1", "-1e-3"],
+     ["surface", "--family", "sphere", "--grid", "8", "8", "--kappa1=-1e-3"]),
+], ids=["flow-c-list", "check-window-exponent", "surface-kappa1-exponent"])
+def test_negative_values_in_exponent_form_and_lists(tmp_path, spaced, joined):
+    # a negative number is an option's value, not an option, also in
+    # exponent form and as a --c list: each run writes what its =-form
+    # (or, for the two-valued --window, its decimal form) writes
+    outs = []
+    for k, argv in enumerate((spaced, joined)):
+        out = tmp_path / f"out{k}"
+        code = run(argv + ["--out", str(out)])
+        outs.append((code, out.read_bytes()))
+    assert outs[0] == outs[1] and outs[0][0] != cli.EXIT_SCHEMA

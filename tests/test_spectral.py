@@ -1315,6 +1315,73 @@ def test_delta_scan_needs_positive_a():
         sp.delta_scan(data, np.linspace(-0.4, 0.4, 7))
 
 
+def _curve_with_real_roots(rng, g, kind):
+    """a of degree 2g with a pair of simple real roots, a real node or no real
+    root ("pair", "node", "none"), the rest conjugate pairs with
+    0.3 <= |Im| <= 1.5, and a random b of degree g + 1, divisible by k - e on
+    a = (k - e)^2, where ln mu needs its closed form.  Distinct roots of a and
+    +-i lie 0.3 or more apart: ln mu next to a close pair is item 8 of
+    ROADMAP.md, not condition A."""
+    real = {"pair": [], "node": [rng.uniform(-2.0, 2.0)] * 2, "none": []}[kind]
+    while kind == "pair" and len(real) < 2:
+        x = rng.uniform(-2.0, 2.0)
+        real += [x] if all(abs(x - r) >= 0.3 for r in real) else []
+    roots = list(real)
+    while len(roots) < 2 * g:
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5))
+        if all(abs(z - r) >= 0.3 for r in roots + [1j]):
+            roots += [z, z.conjugate()]
+    a = np.polynomial.polynomial.polyfromroots(roots).real
+    b = rng.uniform(-1.0, 1.0, g + 2)
+    if kind == "node" and g == 1:
+        b = np.polynomial.polynomial.polymul([-real[0], 1.0], b[:-1])
+    return sp.SpectralData(la.RealPolynomial(a), la.RealPolynomial(b), 2.3, -2.6)
+
+
+def _parity_rule(data):
+    """The reference of condition A: no real root of a of odd multiplicity."""
+    return all(r.multiplicity % 2 == 0 for r in data.a_roots if r.is_real)
+
+
+def _verdicts(data):
+    """(A, B, C) of check_conditions, or None where a homology cut passes a
+    third branch point (outside B's envelope)."""
+    try:
+        rep = sp.check_conditions(data)
+    except InconsistencyError as exc:
+        assert "third branch point" in str(exc)
+        return None
+    assert rep["A"] == _parity_rule(data)
+    return rep["A"], rep["B"]["pass"], rep["C"]["pass"]
+
+
+def test_condition_a_is_mobius_invariant_and_matches_the_parity_rule(rng):
+    # A reads a_positive_on at the middle of every arc between real roots of
+    # a; on these curves it agrees with the parity rule, and no verdict of
+    # check_conditions moves under a Moebius move.  The move sends
+    # kappa = -cot(phi) to infinity, where a monic a has to stay positive;
+    # phi is drawn with that point 0.3 or more from every root of a (a node
+    # sent near infinity splits past find_roots' merge tolerance)
+    compared = 0
+    for g, kind in [(g, kind) for g in (1, 2) for kind in ("pair", "node", "none")] * 2:
+        data = _curve_with_real_roots(rng, g, kind)
+        verdicts = _verdicts(data)
+        assert verdicts is None or verdicts[0] == (kind != "pair"), (g, kind)
+        roots = np.array([r.value for r in data.a_roots])
+        phis = [phi for phi in rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 12)
+                if data.a(-1.0 / math.tan(phi)) > 0 and np.min(np.abs(roots + 1.0 / math.tan(phi))) > 0.3]
+        for phi in phis[:2]:
+            try:
+                moved = sp.mobius_transform_data(data, phi)
+            except DomainError:  # a marked point sent to infinity
+                continue
+            moved_verdicts = _verdicts(moved)
+            if verdicts is not None and moved_verdicts is not None:
+                assert moved_verdicts == verdicts, (g, kind, phi)
+                compared += 1
+    assert compared >= 15
+
+
 # ---------------------------------------------------------------------------
 # ln mu in closed form wherever d ln mu is exact.
 
