@@ -269,7 +269,7 @@ def _c_supplier_from_args(args, data):
     """c_supplier(state, t) of flow_integrate; only the target driver reads t."""
     if args.target_branch is not None:
         return flow.branch_target_supplier(data, args.target_branch)
-    if args.c == "zero":
+    if args.c in (None, "zero"):
         zero = la.RealPolynomial(np.zeros(1))
         return lambda d, t: zero
     if args.c == "mobius":
@@ -451,8 +451,11 @@ def build_parser():
 
     pf = sub.add_parser("flow", help="integrate a deformation of spectral data")
     _add_data_source(pf)
-    pf.add_argument("--c", default="zero", help="zero | mobius | comma-separated coefficients")
-    pf.add_argument("--target-branch", type=int, help="index of the b-root to move at unit rate")
+    # --c has no default: argparse lets an option whose value is its default
+    # object pass the exclusion, so "--c zero" would slip through
+    driver = pf.add_mutually_exclusive_group()
+    driver.add_argument("--c", help="zero (the default) | mobius | comma-separated coefficients")
+    driver.add_argument("--target-branch", type=int, help="index of the b-root to move at unit rate")
     pf.add_argument("--t-final", type=_finite_positive, default=0.1)
     pf.add_argument("--dt0", type=_finite_positive, default=1e-3)
     pf.add_argument("--rtol", type=_finite_positive, default=1e-8)

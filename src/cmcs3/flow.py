@@ -32,44 +32,23 @@ class DeformationState:
     monitors: dict = field(default_factory=dict)
 
 
-def _resultant_normalized(a, b):
-    """|res(a, b)| scaled by the Hadamard bound of the Sylvester matrix."""
-    na, nb = a.degree, b.degree
-    if na <= 0 and nb <= 0:
-        return 1.0 if (abs(a.coeffs[0]) > 0 or abs(b.coeffs[0]) > 0) else 0.0
-    if na == 0:
-        return 1.0 if abs(a.coeffs[0]) > 0 else 0.0
-    if nb == 0:
-        return 1.0 if abs(b.coeffs[0]) > 0 else 0.0
-    size = na + nb
-    syl = np.zeros((size, size))
-    ac = a.coeffs[: na + 1][::-1]  # descending
-    bc = b.coeffs[: nb + 1][::-1]
-    for i in range(nb):
-        syl[i, i : i + na + 1] = ac
-    for i in range(na):
-        syl[nb + i, i : i + nb + 1] = bc
-    det = np.linalg.det(syl)
-    hadamard = np.prod(np.linalg.norm(syl, axis=1))
-    return abs(det) / hadamard if hadamard > 0 else 0.0
-
-
 def solve_ab_dot(a, b, c):
     """Solve the integrability identity for (a-dot, b-dot).
 
-    a must be monic of even degree 2g; the unknowns are the 2g low
-    coefficients of a-dot (degree <= 2g-1) and the g+2 coefficients of b-dot
-    (degree <= g+1).  Coefficient matching gives a square (3g+2)-system.
+    a must be monic of even degree 2g, and b and c of degree at most g+1; the
+    unknowns are the 2g low coefficients of a-dot (degree <= 2g-1) and the g+2
+    coefficients of b-dot (degree <= g+1).  Coefficient matching gives a square
+    (3g+2)-system M with det M = +-2^(g+2) res(a, b), so M is singular exactly
+    where a and b share a root.
     """
-    if a.degree % 2 != 0:
-        raise PreconditionError("a must have even degree")
+    if a.degree % 2 != 0 or a.coeffs[a.degree] != 1.0:
+        raise PreconditionError("a must be monic of even degree")
     g = a.degree // 2
-    if c.degree > g + 1:
-        raise PreconditionError(f"deg c = {c.degree} exceeds g+1 = {g + 1}")
-    if _resultant_normalized(a, b) < 1e-12:
-        raise ConditioningError("a and b share a root (within tolerance); flow undefined")
+    for name, p in (("b", b), ("c", c)):
+        if p.degree > g + 1:
+            raise PreconditionError(f"deg {name} = {p.degree} exceeds g+1 = {g + 1}")
 
-    ac, bc, cc = a.coeffs, b.coeffs, c.coeffs
+    ac, cc = a.coeffs, c.coeffs
     w = np.array([1.0, 0.0, 1.0])  # kappa^2 + 1
     rhs = (
         2.0 * npoly.polymul(npoly.polymul(w, ac), npoly.polyder(cc))
@@ -84,23 +63,42 @@ def solve_ab_dot(a, b, c):
         raise PreconditionError("right-hand side exceeds the expected degree 3g+1")
     rhs_vec = rhs_full[:n_eq]
 
-    n_adot, n_bdot = 2 * g, g + 2
-    mat = np.zeros((n_eq, n_adot + n_bdot))
-    for j in range(n_adot):  # column of -b shifted by j
-        seg = bc[: min(len(bc), n_eq - j)]
-        mat[j : j + len(seg), j] -= seg
-    for j in range(n_bdot):  # column of 2a shifted by j
-        seg = ac[: min(len(ac), n_eq - j)]
-        mat[j : j + len(seg), n_adot + j] += 2.0 * seg
-    sol, *_ = np.linalg.lstsq(mat, rhs_vec, rcond=None)
+    mat = _integrability_matrix(a, b, g)
+    sol, _, _, sv = np.linalg.lstsq(mat, rhs_vec, rcond=None)
+    if _common_root_measure(sv, a, b) < 1e-12:
+        raise ConditioningError("a and b share a root (within tolerance); flow undefined")
     resid = np.linalg.norm(mat @ sol - rhs_vec) / scale
     if resid > _RESIDUAL_TOL:
         raise ConditioningError(
             f"integrability system residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
-    adot = la.RealPolynomial(sol[:n_adot] if n_adot else np.zeros(1))
-    bdot = la.RealPolynomial(sol[n_adot:])
+    adot = la.RealPolynomial(sol[: 2 * g] if g else np.zeros(1))
+    bdot = la.RealPolynomial(sol[2 * g :])
     return adot, bdot, float(resid)
+
+
+def _integrability_matrix(a, b, g):
+    """M of solve_ab_dot: 2g columns of -b, then g+2 columns of 2a, the j-th
+    column of each shifted down by j."""
+    n_eq = 3 * g + 2
+    mat = np.zeros((n_eq, n_eq))
+    for j in range(2 * g):
+        seg = b.coeffs[: n_eq - j]
+        mat[j : j + len(seg), j] -= seg
+    for j in range(g + 2):
+        seg = a.coeffs[: n_eq - j]
+        mat[j : j + len(seg), 2 * g + j] += 2.0 * seg
+    return mat
+
+
+def _common_root_measure(sv, a, b):
+    """|res(a, b)| over |a|^deg b |b|^2g, the Hadamard bound of the Sylvester
+    matrix of a and b, read off the singular values sv of M: |det M| =
+    2^(g+2) |res(a, b)|."""
+    g = a.degree // 2
+    norms = np.linalg.norm(a.coeffs) ** b.degree * np.linalg.norm(b.coeffs) ** (2 * g)
+    bound = 2.0 ** (g + 2) * norms
+    return float(np.prod(sv)) / bound if bound > 0 else 0.0
 
 
 def kappa_dot(data, c):
@@ -134,13 +132,8 @@ def b_root_basis(data):
     return sorted(data.b_roots, key=lambda r: sp.plane_key(r.value))
 
 
-def _branch_c(data, i, sinh_nu):
-    """The polynomial c moving Delta at the i-th root beta of b at unit rate.
-
-    c vanishes at every other root of b, so the Delta-values there are
-    stationary to first order.  sinh_nu(beta) gives (sinh ln mu, nu) at beta on
-    one sheet; c = nu/(4 pi i sinh ln mu) at beta does not depend on which.
-    """
+def _target_root(data, i):
+    """beta, the i-th root of b in (Re, Im) order: real, simple, off the roots of a."""
     roots = b_root_basis(data)
     if not roots:
         raise PreconditionError("b has no roots to target")
@@ -150,41 +143,34 @@ def _branch_c(data, i, sinh_nu):
     if abs(beta.imag) > 1e-10:
         raise DomainError("targeted root of b is not real; real flows need a real target")
     beta = beta.real
-    da = data.a.derivative()
-    for r in roots:  # Newton distance to the nearest root of a
-        if abs(data.a(r.value)) < 1e-8 * abs(da(r.value)):
-            raise PreconditionError("a root of b coincides with a root of a")
-    prod = np.array([1.0 + 0.0j])
-    shift = 1.0
-    for j, r in enumerate(roots):
-        if j == i:
-            continue
-        prod = npoly.polymul(prod, np.array([-r.value, 1.0]))
-        shift *= beta - r.value
-    sh, nu_val = sinh_nu(beta)
+    # |a(beta)| below what a's first two Taylor terms change over h = 1e-8:
+    # beta is within about h of a simple root of a, or of a node, where a'
+    # vanishes too
+    v = d1 = d2 = 0.0  # a, a' and a''/2 at beta by one Horner pass
+    for coef in data.a.coeffs[::-1].tolist():
+        d2, d1, v = d2 * beta + d1, d1 * beta + v, v * beta + coef
+    if abs(v) <= 1e-8 * abs(d1) + 1e-16 * abs(d2):
+        raise PreconditionError("a root of b coincides with a root of a")
+    return beta
+
+
+def _branch_c(b, beta, sh, nu_val):
+    """The polynomial c moving Delta at the root beta of b at unit rate, from
+    sinh ln mu and nu at beta on one sheet (c does not depend on which).
+
+    c = nu/(4 pi i sh) q/q(beta) with q = b/(kappa - beta) by exact division,
+    q(beta) = b'(beta): c(beta) = nu/(4 pi i sh), and c vanishes at the other
+    roots of b, so the Delta-values there are stationary to first order.
+    """
     if abs(sh) < 1e-10:
         raise DomainError(
             "Delta = +-2 at the targeted root of b; the unit-rate normalization blows up"
         )
-    const = nu_val / (4j * math.pi * sh * shift)
-    coeffs = const * prod
-    if np.max(np.abs(coeffs.imag)) > 1e-8 * max(np.max(np.abs(coeffs)), 1e-300):
+    const = nu_val / (4j * math.pi * sh)
+    if abs(const.imag) > 1e-8 * abs(const):
         raise PreconditionError("branch-target construction produced a non-real c")
-    c = la.RealPolynomial(coeffs.real)
-    if c.degree > data.g + 1:
-        raise PreconditionError("constructed c exceeds the allowed degree")
-    return c
-
-
-def build_c_branch_target(data, i):
-    """The polynomial c moving Delta at the i-th root of b at unit rate, from
-    ln mu at that root of this curve."""
-
-    def sinh_nu(beta):
-        lnmu, nu_val = sp.lnmu_at(data, beta)
-        return cmath.sinh(lnmu), nu_val
-
-    return _branch_c(data, i, sinh_nu)
+    q = npoly.polydiv(b.coeffs, [-beta, 1.0])[0]
+    return la.RealPolynomial(const.real * (q / npoly.polyval(beta, q)))
 
 
 def branch_target_supplier(data, i):
@@ -193,33 +179,34 @@ def branch_target_supplier(data, i):
 
     Along the exact flow d ln mu/dkappa vanishes at the targeted root beta, so
     Delta(beta(t)) = Delta(beta(0)) + t and sinh ln mu(beta(t)) =
-    +-sqrt((Delta0 + t)^2/4 - 1).  ln mu is taken once, at beta(0) on the first
-    call; each call then takes nu(beta) = sqrt(p(beta)) with the principal root
-    and the sign of sinh ln mu on its sheet with Re(sinh conj(s0)) > 0, which
-    holds no state between calls (rejected steps rerun their stages).
+    +-sqrt((Delta0 + t)^2/4 - 1), taken as +-sqrt(s0^2 + t (2 Delta0 + t)/4)
+    with s0 = sinh ln mu(beta(0)), which keeps s0 to the last bit at t = 0
+    near Delta0 = +-2.  ln mu is taken once, at beta(0) of data on the first
+    call; each call then takes nu(beta) = sqrt(p(beta)) with the principal
+    root and the sign of sinh ln mu on its sheet with Re(sinh conj(s0)) > 0,
+    which holds no state between calls (rejected steps rerun their stages).
     """
     anchor = []
 
-    def at_start(beta):
-        lnmu, nu_val = sp.lnmu_at(data, beta)
-        principal = cmath.sqrt(complex(data.p(beta)))
-        sheet = math.copysign(1.0, (nu_val * principal.conjugate()).real)
-        anchor.append((2.0 * cmath.cosh(lnmu), sheet * cmath.sinh(lnmu)))
-        return cmath.sinh(lnmu), nu_val
-
     def supplier(state, t):
         if not anchor:
-            _branch_c(data, i, at_start)
+            beta = _target_root(data, i)
+            lnmu, nu_val = sp.lnmu_at(data, beta)
+            principal = cmath.sqrt(complex(data.p(beta)))
+            sheet = math.copysign(1.0, (nu_val * principal.conjugate()).real)
+            anchor.append((2.0 * cmath.cosh(lnmu), sheet * cmath.sinh(lnmu)))
         delta0, s0 = anchor[0]
-
-        def sinh_nu(beta):
-            sh = cmath.sqrt((delta0 + t) ** 2 / 4.0 - 1.0)
-            sh = sh if (sh * s0.conjugate()).real >= 0 else -sh
-            return sh, cmath.sqrt(complex(state.p(beta)))
-
-        return _branch_c(state, i, sinh_nu)
+        beta = _target_root(state, i)
+        sh = cmath.sqrt(s0 * s0 + t * (2.0 * delta0 + t) / 4.0)
+        sh = sh if (sh * s0.conjugate()).real >= 0 else -sh
+        return _branch_c(state.b, beta, sh, cmath.sqrt(complex(state.p(beta))))
 
     return supplier
+
+
+def build_c_branch_target(data, i):
+    """The polynomial c moving Delta at the i-th root of b of data at unit rate."""
+    return branch_target_supplier(data, i)(data, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,30 @@ def test_flow_target_branch_out_of_range_stops(tmp_path, capsys):
     assert lines[0].startswith("t,a0") and len(lines) == 2  # the state at t = 0
 
 
+def test_flow_target_branch_on_a_node_stops(tmp_path, capsys):
+    # alpha = 0: the root k = 0 of b is a node of a = k^2; the guard stops the
+    # flow at t = 0 before any ln mu is taken there
+    code, out, fin = _target_flow(tmp_path, 0.5, 0.0, 0, 0.01)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "stopped: a root of b coincides with a root of a" in capsys.readouterr().out
+    assert fin["completed"] is False and fin["rhs_evals"] == 1
+    with open(out) as fh:
+        assert len(fh.read().splitlines()) == 2  # header and the state at t = 0
+
+
+@pytest.mark.parametrize("c", ["mobius", "zero"])
+def test_flow_c_and_target_branch_are_exclusive(tmp_path, capsys, monkeypatch, c):
+    built = []
+    monkeypatch.setattr(families, "revolution_family", lambda *args: built.append(args))
+    out, final = tmp_path / "traj.csv", tmp_path / "final.json"
+    argv = ["flow", "--family", "revolution", "--c", c, "--target-branch", "0",
+            "--out", str(out), "--final-json", str(final)]
+    assert run(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "argument --target-branch: not allowed with argument --c" in err
+    assert not built and not out.exists() and not final.exists()
+
+
 def test_flow_error_estimate_lets_exact_steps_grow(tmp_path):
     # the stage rates of the target driver agree to about an ulp of y, so
     # y5 - y4 rounds to 0; the estimate dt (E @ rates) does not, and dt grows

@@ -54,6 +54,68 @@ def test_solve_ab_dot_rejects_bad_inputs():
         flow.solve_ab_dot(shared, b_shared, _poly(1.0))
 
 
+def test_solve_ab_dot_checks_its_preconditions():
+    # the gate's identity det M = +-2^(g+2) res(a, b) needs a monic of degree
+    # 2g and deg b <= g+1; deg b = 3 > g+1 = 2 used to return a "solution"
+    quarter = _poly(0.25, 0.0, 1.0)
+    with pytest.raises(PreconditionError, match="deg b = 3 exceeds g\\+1 = 2"):
+        flow.solve_ab_dot(quarter, _poly(0.1, 0.3, 0.2, 0.5), _poly(1.0))
+    for a in (_poly(0.5, 0.0, 2.0), _poly(0.5, 1.0)):  # not monic; odd degree
+        with pytest.raises(PreconditionError, match="a must be monic of even degree"):
+            flow.solve_ab_dot(a, _poly(0.1, 0.3), _poly(1.0))
+
+
+def _sylvester_measure(a, b):
+    """|res(a, b)| over the Hadamard bound of the Sylvester matrix (reference)."""
+    na, nb = a.degree, b.degree
+    if na <= 0 or nb <= 0:
+        return 1.0
+    syl = np.zeros((na + nb, na + nb))
+    for i in range(nb):
+        syl[i, i : i + na + 1] = a.coeffs[: na + 1][::-1]
+    for i in range(na):
+        syl[nb + i, i : i + nb + 1] = b.coeffs[: nb + 1][::-1]
+    return abs(np.linalg.det(syl)) / np.prod(np.linalg.norm(syl, axis=1))
+
+
+def test_common_root_gate_matches_the_sylvester_resultant(rng):
+    # the gate reads |res(a, b)| off the integrability matrix M and the singular
+    # values its solve computes; g = 0..3, deg b = 0..g+1, and half the draws put
+    # a root of b within 1e-14 to 1e-2 of a root of a, so both sides of the
+    # 1e-12 threshold are covered
+    seen = {True: 0, False: 0}
+    for _ in range(800):
+        g = int(rng.integers(0, 4))
+        nb = int(rng.integers(0, g + 2))
+        pairs = rng.uniform(-2, 2, g) + 1j * rng.uniform(0.05, 2, g)
+        a_roots = np.concatenate([pairs, pairs.conj()]) if rng.random() < 0.5 else rng.uniform(-2, 2, 2 * g)
+        b_roots = list(rng.uniform(-2, 2, nb))
+        if g and nb and rng.random() < 0.5:
+            near = a_roots[0] + 10 ** rng.uniform(-14, -2) * np.exp(2j * np.pi * rng.random())
+            b_roots = [near.real] if a_roots[0].imag == 0 else [near, near.conjugate()]
+            b_roots += list(rng.uniform(-2, 2, max(nb - len(b_roots), 0)))
+        a = la.RealPolynomial(np.polynomial.polynomial.polyfromroots(a_roots).real)
+        b = la.RealPolynomial(rng.uniform(0.2, 3) * np.polynomial.polynomial.polyfromroots(b_roots).real)
+        assert a.degree == 2 * g and b.degree <= g + 1
+        mat = flow._integrability_matrix(a, b, g)
+        sv = np.linalg.lstsq(mat, np.zeros(3 * g + 2), rcond=None)[3]
+        got = flow._common_root_measure(sv, a, b)
+        want = _sylvester_measure(a, b)
+        # both are rounded to about 1e-15 absolute (against 60-digit values:
+        # 2.7e-15 from the singular values, 1.1e-16 from the Sylvester LU)
+        assert abs(got - want) <= 1e-9 * want + 1e-14
+        if not 0.5e-12 <= want <= 2e-12:
+            assert (got < 1e-12) == (want < 1e-12)
+            try:
+                flow.solve_ab_dot(a, b, _poly(1.0))
+                gated = False
+            except ConditioningError as exc:
+                gated = "share a root" in str(exc)
+            assert gated == (want < 1e-12)
+            seen[gated] += 1
+    assert min(seen.values()) > 50
+
+
 def test_kappa_dot_clifford():
     data = families.clifford_spectral_data()
     k0d, k1d = flow.kappa_dot(data, _poly(1.0))
@@ -83,6 +145,57 @@ def test_branch_target_unit_rate(revolution_quarter):
     c = flow.build_c_branch_target(revolution_quarter, 0)
     rate = flow.delta_dot(revolution_quarter, c, 0.0)
     assert abs(rate - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("sinh", [1e-4, 1e-8])
+def test_branch_target_unit_rate_near_delta_minus_two(sinh):
+    # a = k^2 + 1/4, b = b1 k with ln mu(0) = i(pi - sinh): the supplier's
+    # sinh ln mu at t = 0 is sinh ln mu itself, not sqrt(Delta^2/4 - 1), whose
+    # cancellation cost 1e-9 of the rate at sinh ~ 1e-4 and raised at 1e-8
+    b2 = 1.0 - sinh / math.pi
+    data = sp.SpectralData(_poly(0.25, 0.0, 1.0), _poly(0.0, 0.75 * b2), 1.6, -1.6)
+    rate = flow.delta_dot(data, flow.build_c_branch_target(data, 0), 0.0)
+    assert abs(rate - 1.0) < 1e-12
+
+
+def test_branch_target_on_two_real_roots_of_b():
+    # Moebius-moved rotational data: b has two real roots, so c carries the
+    # factor of the other root; the product over the other roots is the reference
+    data = sp.mobius_transform_data(
+        families.revolution_family(families.RevolutionParams(0.5, 0.25))[0], 0.4)
+    betas = [r.value.real for r in flow.b_root_basis(data)]
+    assert np.allclose(betas, [-0.42279, 2.36522], atol=1e-5)
+    for i, beta in enumerate(betas):
+        c = flow.build_c_branch_target(data, i)
+        for j, other in enumerate(betas):
+            assert abs(flow.delta_dot(data, c, other) - (i == j)) < 1e-12
+        lnmu, nu_val = sp.lnmu_at(data, beta)
+        (other,) = [r for j, r in enumerate(betas) if j != i]
+        want = nu_val / (4j * math.pi * np.sinh(lnmu) * (beta - other)) * np.array([-other, 1.0])
+        assert np.max(np.abs(c.coeffs - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-18])
+def test_branch_target_guard_fires_on_a_node(monkeypatch, alpha):
+    # a = k^2 + alpha has a node at k = 0, the root of b, or two roots 1e-9
+    # from it; a' vanishes there too, and the guard fires before any ln mu
+    data, _ = families.revolution_family(families.RevolutionParams(0.5, alpha))
+
+    def no_lnmu(*args):
+        raise AssertionError("ln mu taken on a root of a")
+
+    monkeypatch.setattr(sp, "lnmu_at", no_lnmu)
+    with pytest.raises(PreconditionError, match="a root of b coincides with a root of a"):
+        flow.branch_target_supplier(data, 0)(data, 0.0)
+
+
+def test_branch_target_builds_c_once_per_stage(monkeypatch):
+    data, _ = families.revolution_family(families.RevolutionParams(0.7, 0.4))
+    branch_c, built = flow._branch_c, []
+    monkeypatch.setattr(flow, "_branch_c", lambda *a: built.append(1) or branch_c(*a))
+    traj, status = flow.flow_integrate(data, flow.branch_target_supplier(data, 0), 0.01)
+    assert status["completed"] and status["rhs_evals"] == 21
+    assert len(built) == status["rhs_evals"]
 
 
 def test_delta_dot_finite_difference(revolution_quarter):
